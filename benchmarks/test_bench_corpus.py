@@ -4,9 +4,7 @@ from repro.experiments.corpus import run_corpus
 
 
 def test_bench_corpus(benchmark):
-    benchmark.pedantic(run_corpus, rounds=1, iterations=1)
-    # The fidelity assertion runs once outside the timed loop (the
-    # corpus is 60 sessions; timing it repeatedly would dominate the
-    # whole benchmark run).
+    benchmark.pedantic(run_corpus, rounds=3, iterations=1)
+    # The fidelity assertion runs once outside the timed loop.
     report = run_corpus()
     assert report.passed

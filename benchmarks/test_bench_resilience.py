@@ -4,6 +4,6 @@ from repro.experiments.resilience import run_resilience
 
 
 def test_bench_resilience(benchmark):
-    benchmark.pedantic(run_resilience, rounds=1, iterations=1)
+    benchmark.pedantic(run_resilience, rounds=3, iterations=1)
     report = run_resilience()
     assert report.passed

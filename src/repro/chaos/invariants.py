@@ -260,15 +260,16 @@ def check_outcomes(outcomes: Sequence) -> List[InvariantViolation]:
         result = getattr(outcome, "result", None)
         if result is None:
             continue
-        label = outcome.job.key()[:12]
         if isinstance(result, SessionResult):
             found = check_session(result)
         elif hasattr(result, "verdict_counts"):
             found = check_cohort(result)
         else:  # unknown result types have no laws to check
             continue
-        violations.extend(
-            InvariantViolation(v.invariant, v.detail, job=label)
-            for v in found
-        )
+        if found:
+            label = outcome.job.key()[:12]
+            violations.extend(
+                InvariantViolation(v.invariant, v.detail, job=label)
+                for v in found
+            )
     return violations

@@ -142,12 +142,13 @@ def cmd_simulate(args) -> int:
     if args.record:
         from .replay import EventRecorder
 
+        key = job.key()
         observer = EventRecorder(
             args.record,
             extra_meta={
                 "job": job.spec_dict(),
-                "key": job.key(),
-                "label": job.label(),
+                "key": key,
+                "label": job.label(key),
             },
         )
     content, player, network, config = job.build(observer=observer)
@@ -196,15 +197,16 @@ def cmd_cohort(args) -> int:
     if args.fault_log:
         record_dir = os.path.dirname(os.path.abspath(args.fault_log)) or "."
     result = job.execute(record_dir=record_dir)
+    key = job.key()
     if args.fault_log:
         from .replay.recorder import record_path
 
-        written = record_path(record_dir, job.key())
+        written = record_path(record_dir, key)
         target = os.path.abspath(args.fault_log)
         if written != target:
             os.replace(written, target)
         print(f"fault-domain event log: {args.fault_log}")
-    print(f"cohort {job.label()}")
+    print(f"cohort {job.label(key)}")
     print(f"fingerprint: {result.fingerprint()}")
     print(
         f"sessions: {result.n_sessions}  completed: "

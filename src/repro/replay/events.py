@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from ..errors import ReproError
 
@@ -120,14 +120,27 @@ def _sanitize(value: Any) -> Any:
     return value
 
 
+#: The canonical encoder, built once: sorted keys, compact separators,
+#: strict JSON (non-finite floats raise instead of leaking ``NaN``).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def encode_event(event: Dict[str, Any]) -> bytes:
-    """Canonical UTF-8 JSON bytes for one event (sorted keys, compact)."""
-    return json.dumps(
-        _sanitize(event),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    ).encode("utf-8")
+    """Canonical UTF-8 JSON bytes for one event (sorted keys, compact).
+
+    Most events are plain JSON already and are encoded as they are. The
+    encoder raises ``ValueError`` on a non-finite float and ``TypeError``
+    on a plain :class:`~enum.Enum`; only then is the payload run through
+    :func:`_sanitize` first. Both paths give the same bytes: on a payload
+    the encoder accepts, :func:`_sanitize` changes nothing the encoding
+    shows (tuples and lists encode alike, a ``str`` enum encodes as its
+    value).
+    """
+    try:
+        text = _ENCODER.encode(event)
+    except (ValueError, TypeError):
+        text = _ENCODER.encode(_sanitize(event))
+    return text.encode("utf-8")
 
 
 def decode_event(payload: bytes) -> Dict[str, Any]:
@@ -148,6 +161,30 @@ def decode_event(payload: bytes) -> Dict[str, Any]:
             f"event line is not an object with a 'k' kind: {payload[:80]!r}"
         )
     return event
+
+
+def decode_events(payloads: List[bytes]) -> List[Dict[str, Any]]:
+    """Parse many event payloads at once; same result as
+    :func:`decode_event` on each.
+
+    The payloads are joined into one JSON array and parsed in a single
+    call. If that fails, yields a different number of events than
+    payloads, or yields an event that is not an object with ``k``, every
+    payload is decoded on its own instead, so a bad payload raises the
+    same :class:`ReplayError` it always did and a payload holding two
+    objects is never split into two events.
+    """
+    try:
+        events = json.loads((b"[" + b",".join(payloads) + b"]").decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        events = None
+    if (
+        events is None
+        or len(events) != len(payloads)
+        or not all(isinstance(event, dict) and "k" in event for event in events)
+    ):
+        return [decode_event(payload) for payload in payloads]
+    return events
 
 
 def decode_float(value: Any) -> float:

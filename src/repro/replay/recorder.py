@@ -20,6 +20,8 @@ from typing import Any, Dict, Optional
 from ..framing import frame_line
 from .events import EventKind, encode_event, schema_for_meta
 
+_SESSION_META = EventKind.SESSION_META.value
+
 
 def record_path(record_dir: str, key: str) -> str:
     """The event-log path for one job key inside a recording directory."""
@@ -58,7 +60,7 @@ class EventRecorder:
         if self._fd is None:
             raise ValueError(f"recorder for {self.path} is closed")
         event: Dict[str, Any] = {"k": kind, "seq": self._seq}
-        if kind == EventKind.SESSION_META.value:
+        if kind == _SESSION_META:
             # Stamp the lowest version the header's fields need, so
             # topology-free logs stay byte-identical to schema-1 logs.
             event["schema"] = schema_for_meta({**self._extra_meta, **payload})

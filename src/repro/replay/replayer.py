@@ -41,9 +41,24 @@ from .events import (
     EventKind,
     ReplayError,
     check_schema,
-    decode_event,
+    decode_events,
     decode_float,
 )
+
+# Kind strings for the replay loop: comparing against ``EventKind.X.value``
+# would look up an enum property per event and branch.
+_DOWNLOAD_START = EventKind.DOWNLOAD_START.value
+_DOWNLOAD_PROGRESS = EventKind.DOWNLOAD_PROGRESS.value
+_DOWNLOAD_COMPLETE = EventKind.DOWNLOAD_COMPLETE.value
+_DOWNLOAD_ABORT = EventKind.DOWNLOAD_ABORT.value
+_FAILURE = EventKind.FAILURE.value
+_SKIP = EventKind.SKIP.value
+_STALL_BEGIN = EventKind.STALL_BEGIN.value
+_STALL_END = EventKind.STALL_END.value
+_PLAYBACK_START = EventKind.PLAYBACK_START.value
+_BUFFER_SAMPLE = EventKind.BUFFER_SAMPLE.value
+_ESTIMATE = EventKind.ESTIMATE.value
+_VERDICT = EventKind.VERDICT.value
 
 
 @dataclass(frozen=True)
@@ -106,9 +121,8 @@ def scan_events(path: str, strict: bool = False) -> "EventScan":
         raise ReplayError(
             f"{path}: corrupt at line {scan.damage_line}: {scan.damage_detail}"
         )
-    events = [decode_event(payload) for payload in scan.payloads]
     return EventScan(
-        events=events,
+        events=decode_events(scan.payloads),
         damage=scan.damage,
         damage_line=scan.damage_line,
         damage_detail=scan.damage_detail,
@@ -215,7 +229,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
         kind = event["k"]
         if "t" in event:
             last_t = decode_float(event["t"])
-        if kind == EventKind.DOWNLOAD_START.value:
+        if kind == _DOWNLOAD_START:
             open_downloads[event["medium"]] = _OpenDownload(
                 track_id=event["track_id"],
                 chunk_index=int(event["chunk_index"]),
@@ -223,7 +237,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                 started_at=decode_float(event["t"]),
                 resumed_bits=decode_float(event.get("resumed_bits", 0.0)),
             )
-        elif kind == EventKind.DOWNLOAD_PROGRESS.value:
+        elif kind == _DOWNLOAD_PROGRESS:
             active = open_downloads.get(event["medium"])
             if active is not None:
                 active.segments.append(
@@ -233,7 +247,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                         bits=decode_float(event["bits"]),
                     )
                 )
-        elif kind == EventKind.DOWNLOAD_COMPLETE.value:
+        elif kind == _DOWNLOAD_COMPLETE:
             active = open_downloads.pop(event["medium"], None)
             result.add_download(
                 DownloadRecord(
@@ -247,7 +261,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                     resumed_bits=decode_float(event.get("resumed_bits", 0.0)),
                 )
             )
-        elif kind == EventKind.DOWNLOAD_ABORT.value:
+        elif kind == _DOWNLOAD_ABORT:
             open_downloads.pop(event["medium"], None)
             result.add_abort(
                 AbortRecord(
@@ -259,7 +273,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                     size_bits=decode_float(event["size_bits"]),
                 )
             )
-        elif kind == EventKind.FAILURE.value:
+        elif kind == _FAILURE:
             open_downloads.pop(event["medium"], None)
             retry_at = event.get("retry_at")
             result.add_failure(
@@ -275,7 +289,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                     retry_at=None if retry_at is None else decode_float(retry_at),
                 )
             )
-        elif kind == EventKind.SKIP.value:
+        elif kind == _SKIP:
             result.add_skip(
                 SkipRecord(
                     medium=MediaType(event["medium"]),
@@ -285,18 +299,18 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                     attempts=int(event["attempts"]),
                 )
             )
-        elif kind == EventKind.STALL_BEGIN.value:
+        elif kind == _STALL_BEGIN:
             result.stalls.append(StallEvent(start_s=decode_float(event["t"])))
-        elif kind == EventKind.STALL_END.value:
+        elif kind == _STALL_END:
             if not result.stalls or result.stalls[-1].end_s is not None:
                 raise ReplayError(
                     f"{path}: stall_end at seq {event.get('seq')} "
                     "without an open stall"
                 )
             result.stalls[-1].end_s = decode_float(event["t"])
-        elif kind == EventKind.PLAYBACK_START.value:
+        elif kind == _PLAYBACK_START:
             result.startup_delay_s = decode_float(event["t"])
-        elif kind == EventKind.BUFFER_SAMPLE.value:
+        elif kind == _BUFFER_SAMPLE:
             result.add_buffer_sample(
                 BufferSample(
                     t=decode_float(event["t"]),
@@ -304,9 +318,9 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
                     audio_level_s=decode_float(event["audio_s"]),
                 )
             )
-        elif kind == EventKind.ESTIMATE.value:
+        elif kind == _ESTIMATE:
             result.add_estimate(decode_float(event["t"]), decode_float(event["kbps"]))
-        elif kind == EventKind.VERDICT.value:
+        elif kind == _VERDICT:
             replayed.has_verdict = True
             result.completed = bool(event["completed"])
             result.ended_at_s = decode_float(event["t"])

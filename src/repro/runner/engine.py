@@ -113,6 +113,7 @@ def _execute(
     chaos=None,
     cache_root: Optional[str] = None,
     record_dir: Optional[str] = None,
+    key: Optional[str] = None,
 ) -> Tuple[SessionResult, float]:
     """Worker entry point: rebuild the cell from its spec and run it.
 
@@ -127,11 +128,15 @@ def _execute(
     open, so a retried attempt rewrites the log — one log is always one
     attempt — and a chaos kill mid-run leaves a torn-but-replayable
     prefix.
+
+    ``key`` is the job's :meth:`~SimulationJob.key`, computed once by
+    :func:`run_jobs`, which passes it whenever ``chaos`` or
+    ``record_dir`` is set.
     """
     if chaos is not None:
         from ..chaos.injector import inject
 
-        inject(chaos, job.key(), attempt, cache_root)
+        inject(chaos, key, attempt, cache_root)
     execute = getattr(job, "execute", None)
     if execute is not None:
         # Self-executing jobs (topology cohorts) own their whole run;
@@ -146,11 +151,11 @@ def _execute(
         from ..replay.recorder import EventRecorder, record_path
 
         observer = EventRecorder(
-            record_path(record_dir, job.key()),
+            record_path(record_dir, key),
             extra_meta={
                 "job": job.spec_dict(),
-                "key": job.key(),
-                "label": job.label(),
+                "key": key,
+                "label": job.label(key),
                 "attempt": attempt,
             },
         )
@@ -165,7 +170,7 @@ def _execute(
 
 
 def _replay_from_log(
-    job: SimulationJob, record_dir: str
+    job: SimulationJob, record_dir: str, key: str
 ) -> Optional[SessionResult]:
     """A complete recorded log is a second cache: replay it if sound.
 
@@ -178,7 +183,7 @@ def _replay_from_log(
     from ..replay.recorder import record_path
     from ..replay.replayer import replay_session
 
-    path = record_path(record_dir, job.key())
+    path = record_path(record_dir, key)
     if not os.path.exists(path):
         return None
     try:
@@ -187,7 +192,7 @@ def _replay_from_log(
         return None  # damaged/foreign log: fall through to simulation
     if not replayed.intact or not replayed.has_verdict:
         return None
-    if replayed.meta.get("key") != job.key():
+    if replayed.meta.get("key") != key:
         return None
     return replayed.result
 
@@ -247,6 +252,11 @@ def run_jobs(
     deadline (pool mode only — a single in-process attempt cannot be
     preempted); ``retries`` caps the extra attempts a crashed, hung or
     raising job is granted before it is surfaced as a failed outcome.
+
+    Each job's key is hashed at most once per call, and only when a
+    cache, a record directory or a chaos schedule needs it; the cache,
+    the log replay, the recorder header, the chaos schedule and the
+    log labels all share that one key.
     """
     stats = stats if stats is not None else EngineStats()
     if chaos is not None and workers <= 1:
@@ -255,10 +265,12 @@ def run_jobs(
             "worker processes, which the in-process serial path cannot survive"
         )
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
+    keyed = cache is not None or record_dir is not None or chaos is not None
+    keys: List[Optional[str]] = [job.key() if keyed else None for job in jobs]
     pending: deque = deque()
     for index, job in enumerate(jobs):
         if cache is not None:
-            hit = cache.get(job.key())
+            hit = cache.get(keys[index])
             if hit is not None:
                 outcomes[index] = JobOutcome(
                     job=job,
@@ -269,7 +281,7 @@ def run_jobs(
                 )
                 continue
         if record_dir is not None:
-            replayed = _replay_from_log(job, record_dir)
+            replayed = _replay_from_log(job, record_dir, keys[index])
             if replayed is not None:
                 outcomes[index] = JobOutcome(
                     job=job,
@@ -280,7 +292,7 @@ def run_jobs(
                     replayed=True,
                 )
                 if cache is not None:
-                    cache.put(job.key(), replayed)
+                    cache.put(keys[index], replayed)
                 continue
         pending.append(index)
 
@@ -292,15 +304,18 @@ def run_jobs(
         # propagate (the tier-1 suite runs here), KeyboardInterrupt
         # leaves the completed prefix checkpointed in the cache.
         for index in pending:
-            result, wall = _execute(jobs[index], record_dir=record_dir)
+            result, wall = _execute(
+                jobs[index], record_dir=record_dir, key=keys[index]
+            )
             outcomes[index] = JobOutcome(
                 jobs[index], result, wall, attempts=1, attempt_times=(wall,)
             )
             if cache is not None:
-                cache.put(jobs[index].key(), result)
+                cache.put(keys[index], result)
     elif pending:
         _run_pool(
             jobs,
+            keys,
             outcomes,
             pending,
             workers,
@@ -316,6 +331,7 @@ def run_jobs(
 
 def _run_pool(
     jobs: Sequence[SimulationJob],
+    keys: Sequence[Optional[str]],
     outcomes: List[Optional[JobOutcome]],
     queue: deque,
     workers: int,
@@ -365,7 +381,7 @@ def _run_pool(
             stats.requeues += 1
             _log(
                 event="requeue",
-                job=jobs[index].label(),
+                job=jobs[index].label(keys[index]),
                 attempt=state.attempts,
                 error=state.last_error,
             )
@@ -381,7 +397,7 @@ def _run_pool(
             )
             _log(
                 event="job-failed",
-                job=jobs[index].label(),
+                job=jobs[index].label(keys[index]),
                 attempts=state.attempts,
                 error=state.last_error,
             )
@@ -399,7 +415,7 @@ def _run_pool(
                 if cache is not None and state.attempts > 0:
                     # Another process (or a pre-crash write) may have
                     # finished this cell; a torn entry is evicted here.
-                    hit = cache.get(jobs[index].key())
+                    hit = cache.get(keys[index])
                     if hit is not None:
                         stats.cache_resumes += 1
                         outcomes[index] = JobOutcome(
@@ -419,6 +435,7 @@ def _run_pool(
                         chaos,
                         cache.root if cache is not None else None,
                         record_dir,
+                        keys[index],
                     )
                 except BrokenProcessPool:
                     queue.appendleft(index)
@@ -460,7 +477,7 @@ def _run_pool(
                         stats.watchdog_kills += 1
                         _settle(index)
                     elif chaos is not None and not _pool_breaking(
-                        chaos.fault_for(jobs[index].key(), attempt)
+                        chaos.fault_for(keys[index], attempt)
                     ):
                         # The deterministic schedule names the guilty
                         # job; this one was an innocent bystander of a
@@ -501,7 +518,7 @@ def _run_pool(
                     if cache is not None:
                         # Checkpoint: stream the cell to disk now, so an
                         # interrupted grid resumes from here.
-                        cache.put(jobs[index].key(), result)
+                        cache.put(keys[index], result)
                 condemned.discard(future)
 
             # Watchdog: kill the pool when any attempt overruns its
@@ -522,7 +539,7 @@ def _run_pool(
                         index, started = inflight[future]
                         _log(
                             event="watchdog-kill",
-                            job=jobs[index].label(),
+                            job=jobs[index].label(keys[index]),
                             attempt=states[index].attempts + 1,
                             ran_s=round(now - started, 3),
                         )

@@ -294,7 +294,10 @@ class SimulationJob:
             "schema": SPEC_SCHEMA_VERSION,
             "content": dataclasses.asdict(self.content),
             "player": dataclasses.asdict(self.player),
-            "trace": dataclasses.asdict(self.trace),
+            # Not ``asdict``: it deep-copies every float of a measured
+            # trace. ``args`` is already a tuple of plain values, which
+            # encodes to the same JSON bytes.
+            "trace": {"kind": self.trace.kind, "args": self.trace.args},
             "rtt_s": self.rtt_s,
             "failure": (
                 None if self.failure is None else dataclasses.asdict(self.failure)
@@ -315,12 +318,14 @@ class SimulationJob:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def label(self) -> str:
-        """Short human identity for chaos logs and failure messages."""
-        return (
-            f"{self.player.name}/{self.trace.kind}/s{self.seed}"
-            f"#{self.key()[:10]}"
-        )
+    def label(self, key: Optional[str] = None) -> str:
+        """Short human identity for chaos logs and failure messages.
+
+        ``key`` is this job's :meth:`key` when the caller already holds
+        it, which spares a second hash of the spec.
+        """
+        key = self.key() if key is None else key
+        return f"{self.player.name}/{self.trace.kind}/s{self.seed}#{key[:10]}"
 
     def build(self, observer=None):
         """Rebuild (content, player, network, config) from the spec.

@@ -77,12 +77,14 @@ class CohortJob:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def label(self) -> str:
-        """Short human identity for chaos logs and failure messages."""
+    def label(self, key: Optional[str] = None) -> str:
+        """Short human identity for chaos logs and failure messages;
+        ``key`` is this job's :meth:`key` when the caller holds it."""
+        key = self.key() if key is None else key
         storm = "clean" if self.faults is None else "storm"
         return (
             f"cohort{self.n_sessions}/{len(self.topology.edges)}edges"
-            f"/{storm}/s{self.seed}#{self.key()[:10]}"
+            f"/{storm}/s{self.seed}#{key[:10]}"
         )
 
     def execute(self, attempt: int = 1, record_dir: Optional[str] = None):
@@ -123,14 +125,15 @@ class CohortJob:
         """Write the cohort's fault-domain event log (schema 2)."""
         from ..replay.recorder import EventRecorder, record_path
 
+        key = self.key()
         meta = {
             "job": self.spec_dict(),
-            "key": self.key(),
-            "label": self.label(),
+            "key": key,
+            "label": self.label(key),
             # Topology fields: their presence stamps the header schema 2.
             "edges": [edge.edge_id for edge in self.topology.edges],
         }
-        with EventRecorder(record_path(record_dir, self.key()), meta) as rec:
+        with EventRecorder(record_path(record_dir, key), meta) as rec:
             rec.emit("session_meta", {"n_sessions": self.n_sessions})
             for window in result.fault_windows:
                 rec.emit("fault_window", dict(window))

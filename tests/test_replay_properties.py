@@ -8,17 +8,23 @@ separately tears logs at arbitrary byte offsets to check the framing
 never turns a crash into silent corruption.
 """
 
+import json
+import math
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.corpus import drama_show
+from repro.framing import frame_line, scan_line_file
+from repro.media.tracks import MediaType
 from repro.net.link import shared
-from repro.net.resilience import ResilienceModel, RetryPolicy
+from repro.net.resilience import FailureKind, ResilienceModel, RetryPolicy
 from repro.net.traces import constant, random_walk, square_wave
 from repro.qoe.metrics import DEFAULT_WEIGHTS, compute_qoe
 from repro.replay import EventRecorder, replay_session, scan_events
+from repro.replay.events import ReplayError, _sanitize, decode_event, encode_event
 from repro.runner.jobs import PlayerSpec
 from repro.sim.session import Session, SessionConfig
 
@@ -108,6 +114,66 @@ class TestTornLogProperty:
         # the first N events of the untorn log.
         assert scan.damage in (None, "truncated")
         assert scan.events == whole.events[: len(scan.events)]
+
+
+_LEAVES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(list(MediaType)),
+    st.sampled_from(list(FailureKind)),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestEventCodec:
+    """The encoder's fast path and the batch decoder change no bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=6), _PAYLOADS, max_size=5))
+    def test_encoder_matches_sanitizing_reference(self, payload):
+        event = {**payload, "k": "decision", "seq": 3}
+        reference = json.dumps(
+            _sanitize(event), sort_keys=True, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
+        assert encode_event(event) == reference
+
+    def test_batch_decode_matches_per_line_decode(self, tmp_path):
+        _, path = run_recorded(tmp_path, "dashjs", "walk", 2, failures=True)
+        payloads = scan_line_file(path).payloads
+        assert scan_events(path).events == [decode_event(p) for p in payloads]
+
+    def _log(self, tmp_path, bad: bytes) -> str:
+        path = str(tmp_path / "bad.events.jsonl")
+        good = encode_event({"k": "session_meta", "seq": 0, "schema": 1})
+        with open(path, "wb") as f:
+            for payload in (good, bad, encode_event({"k": "verdict", "seq": 2})):
+                f.write(frame_line(payload))
+        return path
+
+    def test_invalid_json_names_the_payload(self, tmp_path):
+        with pytest.raises(ReplayError, match="invalid JSON.*seq"):
+            scan_events(self._log(tmp_path, b'{"k":"decision","seq":'))
+
+    @pytest.mark.parametrize("bad", [b"1", b"[1]"])
+    def test_non_object_payload_raises(self, tmp_path, bad):
+        with pytest.raises(ReplayError, match="not an object"):
+            scan_events(self._log(tmp_path, bad))
+
+    def test_two_objects_in_one_payload_are_not_spliced(self, tmp_path):
+        with pytest.raises(ReplayError, match="invalid JSON"):
+            scan_events(self._log(tmp_path, b'{"k":"a"},{"k":"b"}'))
 
 
 def _load_oracle_module():

@@ -6,6 +6,7 @@ grid runs serially, on a process pool, or from the on-disk cache, and
 cache invalidation whenever any outcome-affecting spec field changes.
 """
 
+import json
 import os
 import pickle
 
@@ -119,6 +120,70 @@ class TestJobSpecs:
         ).build()
         result = simulate(content, player, network, config)
         assert result.completed
+
+
+#: Keys as computed while the spec still went through ``asdict``:
+#: existing caches and recorded logs stay valid only while these hold.
+GOLDEN_KEYS = [
+    (
+        SimulationJob(),
+        "f8d7ec956f01556e0d174c944cc3c34c257a228e75da1146a2d99e846e7de12e",
+    ),
+    (
+        SimulationJob(
+            trace=TraceSpec.pairs([(0.5, 400.0 + 7.25 * i) for i in range(1200)]),
+            rtt_s=0.05,
+            failure=FailureSpec.with_mix(
+                0.15, 3, {FailureKind.TIMEOUT: 2.0, FailureKind.HTTP_5XX: 1.0}
+            ),
+            retry_policy=RetryPolicy(),
+            seed=2,
+        ),
+        "6a3b1fcd6a3da81817bfde03cf9c6206fa6e387fbe7d926225455d12a6f834bb",
+    ),
+    (
+        SimulationJob(
+            player=PlayerSpec("exoplayer-hls", audio_order=("A3", "A1", "A2")),
+            trace=TraceSpec.constant(1500.0),
+        ),
+        "766f2c8babb88f668ad3a6790d826c62fab4bdd1a45d7f177046efbf2624be31",
+    ),
+]
+
+
+class TestKeyContract:
+    @pytest.mark.parametrize("job,key", GOLDEN_KEYS)
+    def test_key_bytes_are_pinned(self, job, key):
+        assert job.key() == key
+        assert SimulationJob.from_spec(job.spec_dict()).key() == key
+        assert job.label() == job.label(key)
+
+    def test_serial_record_run_hashes_the_spec_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = SimulationJob.key
+
+        def counting_key(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SimulationJob, "key", counting_key)
+        job = SimulationJob(trace=TraceSpec.constant(1200.0))
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_jobs([job], cache=cache, record_dir=str(tmp_path / "logs"))
+        assert len(calls) == 1
+
+    def test_recorded_header_carries_the_job_key_and_label(self, tmp_path):
+        from repro.replay import replay_session
+        from repro.replay.recorder import record_path
+
+        job = GOLDEN_KEYS[2][0]
+        record_dir = str(tmp_path / "logs")
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_jobs([job], cache=cache, record_dir=record_dir)
+        meta = replay_session(record_path(record_dir, job.key())).meta
+        assert meta["key"] == job.key()
+        assert meta["label"] == job.label()
+        assert meta["job"] == json.loads(json.dumps(job.spec_dict()))
 
 
 class TestEngineDeterminism:
