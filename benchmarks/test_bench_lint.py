@@ -1,19 +1,16 @@
 """repro.analysis — full-tree code lint speed.
 
-The code-lint CI gate runs every UNIT/POOL/DET/SHARE/HOT rule over
-all of ``src/repro`` on each push, so analyzer throughput is a
-trajectory we track: a rule that re-walks the AST per finding or
-re-tokenizes per query shows up here long before the gate feels slow.
-The ``jobs4`` timer pins the two-phase parallel path (summarize, merge
-the whole-program index, lint) that ``repro-abr lint --jobs N`` runs.
+The code-lint CI gate runs every code rule over all of ``src/repro``
+on each push, so analyzer throughput is a trajectory we track: a rule
+that re-walks the AST per finding or re-tokenizes per query shows up
+here long before the gate feels slow.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalyzerConfig, analyze_files
-from repro.analysis.parallel import analyze_files_parallel
+from repro.analysis import analyze_files
 
 SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 
@@ -26,27 +23,6 @@ FILES = {
 def test_bench_full_tree_code_lint(benchmark):
     findings = benchmark(analyze_files, FILES)
     assert findings == []  # the tree is pinned clean
-
-
-def test_bench_full_tree_code_lint_jobs4(benchmark):
-    findings = benchmark(analyze_files_parallel, FILES, None, 4)
-    assert findings == []
-
-
-def test_bench_units_family_only(benchmark):
-    config = AnalyzerConfig(
-        selected=frozenset(
-            {
-                "UNIT-MIX-ARITH",
-                "UNIT-MIX-COMPARE",
-                "UNIT-ASSIGN-MISMATCH",
-                "UNIT-ARG-MISMATCH",
-                "UNIT-RETURN-MISMATCH",
-            }
-        )
-    )
-    findings = benchmark(analyze_files, FILES, config)
-    assert findings == []
 
 
 def test_bench_single_module_lint(benchmark):

@@ -1,18 +1,13 @@
 """Static analysis for streaming manifests and the simulator's source.
 
 ``repro.analysis`` lints raw manifest *text* — MPD XML and m3u8
-playlists — with file/line/column source spans, unlike the object-level
-checks it supersedes in :mod:`repro.manifest.validate`. It is also a
-whole-program analyzer for the simulator's own Python source: a
-determinism lint (``DET-*``, :mod:`repro.analysis.pylint_determinism`),
-a units/dimension-flow lint (``UNIT-*``) and a pickle/fork-safety lint
-(``POOL-*``) (both in :mod:`repro.analysis.code_rules`), shared-state
-and hot-path lints (``SHARE-*``/``HOT-*``), compatibility-surface
-drift rules (``SURF-*``, :mod:`repro.analysis.code_surfaces`) checked
-against committed ``surfaces/*.json`` snapshots, and player-contract
-rules (``POLICY-*``, :mod:`repro.analysis.code_policy`), all sharing
-one registry, one config, one baseline format and one inline
-suppression grammar (``# lint: allow[RULE-ID]``, see
+playlists — with file/line/column source spans: RFC 8216 and DASH-IF
+conformance plus the paper's Section 4.1 best practices (curated
+combination sets, per-track bandwidth). For the simulator's own Python
+source it runs the determinism lint (``DET-*``,
+:mod:`repro.analysis.pylint_determinism`) and the pickle/fork-safety
+lint (``POOL-*``, :mod:`repro.analysis.code_pool`), one file at a time,
+with one inline suppression grammar (``# lint: allow[RULE-ID]``, see
 :mod:`repro.analysis.code_engine`).
 
 Entry points:
@@ -40,15 +35,12 @@ from .findings import Baseline, Finding, Severity, sort_findings, worst_severity
 from .registry import REGISTRY, Category, Kind, Rule
 
 # Importing the rule modules populates REGISTRY (autofix pulls in
-# hls_rules; dash_rules, pylint_determinism and code_rules are
-# imported here).
+# hls_rules, engine pulls in code_engine; code_pool, dash_rules and
+# pylint_determinism are imported here).
+from . import code_pool as _code_pool  # noqa: F401
 from . import dash_rules as _dash_rules  # noqa: F401
 from . import hls_rules as _hls_rules  # noqa: F401
 from . import pylint_determinism as _pylint_determinism  # noqa: F401
-from . import code_rules as _code_rules  # noqa: F401
-from . import code_share_hot as _code_share_hot  # noqa: F401
-from . import code_surfaces as _code_surfaces  # noqa: F401
-from . import code_policy as _code_policy  # noqa: F401
 
 __all__ = [
     "AnalysisParseFailure",

@@ -1,42 +1,17 @@
-"""Shared engine for whole-program Python code rules.
+"""Parsed view of one Python module for the code rules.
 
-Every code-rule family — units/dimension flow (``UNIT-*``),
-pickle/fork safety (``POOL-*``) and determinism (``DET-*``) — runs over
-the same parsed view of a module: :class:`PySource` bundles the AST,
-the raw :class:`~repro.analysis.spans.Document`, an import tracker and
-a tokenizer-accurate comment map. The comment map drives the **one**
+Every code rule runs over the same per-file view: :class:`PySource`
+bundles the AST, the raw :class:`~repro.analysis.spans.Document` and a
+tokenizer-accurate comment map. The comment map drives the **one**
 inline suppression grammar all code rules share::
 
-    x = legacy_rate  # lint: allow[UNIT-ASSIGN-MISMATCH] justification...
+    x = random.random()  # lint: allow[DET-UNSEEDED-RANDOM] justification...
 
 ``# lint: allow[ID, ID2]`` suppresses the named rules on that line;
-``# lint: allow[*]`` suppresses every code rule. The legacy
-``# det: allow`` comment is **inert** — it suppresses nothing and draws
-a ``LINT-DEPRECATED-SUPPRESS`` note until removed (see
-:mod:`repro.analysis.code_rules`). Suppression is applied centrally by
-the analysis engine, not inside individual rules, so every present and
-future code rule obeys the same grammar for free — and the engine
-tracks which allow-comments actually matched a finding, so stale ones
-draw ``LINT-UNUSED-SUPPRESS``.
-
-The middle of this module is the **dimension-flow** machinery the
-``UNIT-*`` rules build on: :func:`dim_of_identifier` maps names to
-dimensions through the tables in :mod:`repro.units`
-(``DIMENSION_SUFFIXES`` / ``DIMENSION_NAMES`` /
-``CONVERTER_SIGNATURES``), and :class:`ScopeEnv` propagates inferred
-dimensions through a function's locals so that un-suffixed names
-(``budget = chunk_bits(...)``) still participate in mix checks.
-
-The last section is the **whole-program index**: per-module summaries
-(:func:`summarize_module`) of every function (parameters, return
-dimension, escape/aliasing facts, callees), every class (``__slots__``,
-frozen-ness, ``# shared`` annotation) and every interning site, merged
-into a :class:`ProgramIndex` with a module-level call graph and a
-fixed-point pass that resolves return dimensions *through* calls. The
-index is what turns the per-function ``UNIT-*`` rules interprocedural
-and what the ``SHARE-*`` / ``HOT-*`` families are built on. Summaries
-are plain picklable dataclasses, so parallel linting can compute them
-per worker batch and merge in the parent.
+``# lint: allow[*]`` suppresses every code rule. Suppression is applied
+centrally by the analysis engine, not inside individual rules, and the
+engine tracks which allow-comments actually matched a finding, so stale
+ones draw ``LINT-UNUSED-SUPPRESS``.
 """
 
 from __future__ import annotations
@@ -45,10 +20,10 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List
 
-from ..units import CONVERTER_SIGNATURES, DIMENSION_NAMES, DIMENSION_SUFFIXES
+from .findings import Finding, Severity
+from .registry import Category, Kind, rule
 from .spans import Document, SourceSpan
 
 #: Unified inline suppression: a comment beginning ``lint: allow``
@@ -58,24 +33,10 @@ from .spans import Document, SourceSpan
 #: LINT-UNUSED-SUPPRESS; see the regex below for the exact shape.)
 _ALLOW_RE = re.compile(r"lint:\s*allow\[([^\]]*)\]")
 
-#: Legacy grammar. Inert since the PR-5 deprecation window closed: it
-#: suppresses nothing and only feeds ``LINT-DEPRECATED-SUPPRESS``.
-LEGACY_SUPPRESS_COMMENT = "det: allow"
-
-#: Hot-path annotation: ``# hot`` marks a function as kernel fast path,
-#: ``# hot: pure`` on a loop marks a closed-form fast-forward region.
-#: The marker must *start* the comment (trailing justification is fine).
-_HOT_RE = re.compile(r"^#\s*hot(?P<pure>\s*:\s*pure)?\b")
-
-#: Shared-object annotation: ``# shared`` on a class marks instances as
-#: reachable from more than one session/worker, so methods must not
-#: mutate attributes after construction.
-_SHARED_RE = re.compile(r"^#\s*shared\b")
-
 
 def _scan_comments(text: str) -> Dict[int, str]:
     """{line: comment text} using the tokenizer, so strings that merely
-    *mention* a suppression comment do not suppress (or fire) anything."""
+    *mention* a suppression comment do not suppress anything."""
     comments: Dict[int, str] = {}
     try:
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -87,181 +48,23 @@ def _scan_comments(text: str) -> Dict[int, str]:
     return comments
 
 
-# -- import tracking --------------------------------------------------------
-
-#: ``random`` module-level functions whose use implies the shared,
-#: unseeded global RNG.
-RANDOM_MODULE_FUNCS = {
-    "random",
-    "randint",
-    "randrange",
-    "uniform",
-    "triangular",
-    "choice",
-    "choices",
-    "shuffle",
-    "sample",
-    "gauss",
-    "normalvariate",
-    "lognormvariate",
-    "expovariate",
-    "vonmisesvariate",
-    "gammavariate",
-    "betavariate",
-    "paretovariate",
-    "weibullvariate",
-    "getrandbits",
-    "randbytes",
-}
-
-WALLCLOCK_TIME_FUNCS = {"time", "time_ns"}
-WALLCLOCK_DATETIME_FUNCS = {"now", "utcnow", "today"}
-
-
-def unseeded_random_call(node: "ast.Call", imports: "ImportTracker") -> Optional[str]:
-    """Describe ``node`` if it draws from the global RNG, else ``None``.
-
-    The single source of truth for what counts as unseeded randomness:
-    ``DET-UNSEEDED-RANDOM`` fires on it per call site, and the function
-    summaries record it per function so ``POLICY-NONDETERMINISM`` can
-    chase it through the call graph.
-    """
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id in imports.random_modules
-    ):
-        if func.attr in RANDOM_MODULE_FUNCS:
-            return f"random.{func.attr}()"
-        if func.attr in {"Random", "seed"} and not (node.args or node.keywords):
-            return f"random.{func.attr}() without a seed"
-    elif isinstance(func, ast.Name) and func.id in imports.random_funcs:
-        original = imports.random_funcs[func.id]
-        if original == "seed":
-            if not (node.args or node.keywords):
-                return "seed() without a seed value"
-        else:
-            return f"{original}() imported from random"
-    return None
-
-
-def wallclock_call(node: "ast.Call", imports: "ImportTracker") -> Optional[str]:
-    """Describe ``node`` if it reads the wall clock, else ``None``.
-
-    Shared by ``DET-WALLCLOCK`` (per call site) and the function
-    summaries feeding ``POLICY-NONDETERMINISM`` (per function).
-    """
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        base = func.value
-        if (
-            isinstance(base, ast.Name)
-            and base.id in imports.time_modules
-            and func.attr in WALLCLOCK_TIME_FUNCS
-        ):
-            return f"time.{func.attr}()"
-        if (
-            isinstance(base, ast.Name)
-            and base.id in imports.datetime_classes
-            and func.attr in WALLCLOCK_DATETIME_FUNCS
-        ):
-            return f"datetime.{func.attr}()"
-        if (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id in imports.datetime_modules
-            and base.attr in {"datetime", "date"}
-            and func.attr in WALLCLOCK_DATETIME_FUNCS
-        ):
-            return f"datetime.{base.attr}.{func.attr}()"
-    elif isinstance(func, ast.Name) and func.id in imports.time_funcs:
-        return f"{imports.time_funcs[func.id]}() imported from time"
-    return None
-
-
-class ImportTracker:
-    """What local names refer to the modules/classes code rules care about."""
-
-    def __init__(self) -> None:
-        self.random_modules: Set[str] = set()
-        self.time_modules: Set[str] = set()
-        self.datetime_modules: Set[str] = set()
-        self.datetime_classes: Set[str] = set()
-        self.os_modules: Set[str] = set()
-        self.multiprocessing_modules: Set[str] = set()
-        #: local name -> random module function it aliases
-        self.random_funcs: Dict[str, str] = {}
-        #: local name -> time module function it aliases
-        self.time_funcs: Dict[str, str] = {}
-        #: local names bound to units.py converters (possibly aliased)
-        self.converters: Dict[str, str] = {}
-        #: local names naming fork-relevant callables (os.fork, ...)
-        self.fork_funcs: Dict[str, str] = {}
-
-    def visit_imports(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "random":
-                        self.random_modules.add(local)
-                    elif alias.name == "time":
-                        self.time_modules.add(local)
-                    elif alias.name == "datetime":
-                        self.datetime_modules.add(local)
-                    elif alias.name == "os":
-                        self.os_modules.add(local)
-                    elif alias.name in ("multiprocessing", "multiprocessing.pool"):
-                        self.multiprocessing_modules.add(local)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    for alias in node.names:
-                        if alias.name in RANDOM_MODULE_FUNCS | {"seed"}:
-                            self.random_funcs[alias.asname or alias.name] = (
-                                alias.name
-                            )
-                elif node.module == "time":
-                    for alias in node.names:
-                        if alias.name in WALLCLOCK_TIME_FUNCS:
-                            self.time_funcs[alias.asname or alias.name] = (
-                                alias.name
-                            )
-                elif node.module == "datetime":
-                    for alias in node.names:
-                        if alias.name in {"datetime", "date"}:
-                            self.datetime_classes.add(alias.asname or alias.name)
-                elif node.module == "os":
-                    for alias in node.names:
-                        if alias.name == "fork":
-                            self.fork_funcs[alias.asname or alias.name] = "os.fork"
-                elif node.module and node.module.split(".")[-1] == "units":
-                    for alias in node.names:
-                        if alias.name in CONVERTER_SIGNATURES:
-                            self.converters[alias.asname or alias.name] = (
-                                alias.name
-                            )
-
-
 class PySource:
-    """A parsed Python document: AST + imports + comments + raw lines."""
+    """A parsed Python document: AST + comments + raw lines."""
 
     def __init__(self, doc: Document, tree: ast.Module) -> None:
         self.doc = doc
         self.tree = tree
-        self.imports = ImportTracker()
-        self.imports.visit_imports(tree)
         self.comments = _scan_comments(doc.text)
-
-    def suppressed(self, line: int, rule_id: str = "") -> bool:
-        """Is ``rule_id`` suppressed on 1-based ``line``?
-
-        Without a ``rule_id`` (legacy call shape) only the blanket
-        ``# lint: allow[*]`` comment matches. The retired
-        ``# det: allow`` grammar is inert here by design.
-        """
-        ids = set(self.allow_tokens().get(line, ()))
-        return "*" in ids or (bool(rule_id) and rule_id in ids)
+        self._allow_tokens: Dict[int, List[str]] = {}
+        for line, comment in self.comments.items():
+            tokens = [
+                part.strip()
+                for match in _ALLOW_RE.finditer(comment)
+                for part in match.group(1).split(",")
+                if part.strip()
+            ]
+            if tokens:
+                self._allow_tokens[line] = tokens
 
     def allow_tokens(self) -> Dict[int, List[str]]:
         """{line: [token, ...]} for every ``# lint: allow[...]`` comment.
@@ -270,51 +73,7 @@ class PySource:
         kept — the engine matches findings against them and reports the
         tokens that suppressed nothing as ``LINT-UNUSED-SUPPRESS``.
         """
-        cached = getattr(self, "_allow_tokens", None)
-        if cached is None:
-            cached = {}
-            for line, comment in self.comments.items():
-                tokens = [
-                    part.strip()
-                    for match in _ALLOW_RE.finditer(comment)
-                    for part in match.group(1).split(",")
-                    if part.strip()
-                ]
-                if tokens:
-                    cached[line] = tokens
-            self._allow_tokens = cached  # type: ignore[attr-defined]
-        return cached
-
-    def hot_annotations(self) -> Dict[int, str]:
-        """{line: "hot" | "pure"} for every ``# hot`` comment."""
-        cached = getattr(self, "_hot_annotations", None)
-        if cached is None:
-            cached = {}
-            for line, comment in self.comments.items():
-                match = _HOT_RE.match(comment)
-                if match:
-                    cached[line] = "pure" if match.group("pure") else "hot"
-            self._hot_annotations = cached  # type: ignore[attr-defined]
-        return cached
-
-    def hot_mark(self, node: ast.AST) -> Optional[str]:
-        """The hot annotation attached to a def/loop node, if any.
-
-        The marker lives on the node's own line or the line directly
-        above it (the decorator / lead-comment position).
-        """
-        marks = self.hot_annotations()
-        line = getattr(node, "lineno", 0)
-        return marks.get(line) or marks.get(line - 1)
-
-    def shared_mark(self, node: ast.AST) -> bool:
-        """Is a class definition annotated ``# shared``?"""
-        line = getattr(node, "lineno", 0)
-        for candidate in (line, line - 1):
-            comment = self.comments.get(candidate)
-            if comment is not None and _SHARED_RE.match(comment):
-                return True
-        return False
+        return self._allow_tokens
 
     def span(self, node: ast.AST) -> SourceSpan:
         return SourceSpan(
@@ -336,835 +95,23 @@ def parse_python(doc: Document) -> PySource:
     return PySource(doc, tree)
 
 
-# -- dimension inference ----------------------------------------------------
-
-#: Longest suffix first, so ``_kbps`` wins over ``_bps`` and
-#: ``_bytes`` over ``_s``-free lookups.
-_SUFFIXES_BY_LENGTH = sorted(
-    DIMENSION_SUFFIXES, key=len, reverse=True
+@rule(
+    "LINT-UNUSED-SUPPRESS",
+    Severity.WARNING,
+    Category.HYGIENE,
+    Kind.PYTHON,
+    summary="a '# lint: allow[...]' token that suppresses nothing is stale",
+    reference="docs/static_analysis.md (suppression grammar); "
+    "flake8 unused-noqa precedent",
+    fixable=True,
 )
+def check_unused_suppress(src: PySource, ctx) -> Iterator[Finding]:
+    """Emitted centrally by the engine, not here.
 
-#: Single-argument builtins that preserve their argument's dimension.
-_TRANSPARENT_CALLS = {"int", "float", "round", "abs"}
-
-#: Variadic builtins that preserve a dimension when every dimensioned
-#: argument agrees (``min(deadline_s, budget_s)``).
-_AGGREGATING_CALLS = {"min", "max", "sum"}
-
-
-def dim_of_identifier(name: str) -> Optional[str]:
-    """The dimension an identifier's *name* declares, or ``None``.
-
-    Matching is case-insensitive so constants follow the same
-    convention (``_POLL_TICK_S`` is time-s).
+    Staleness is only decidable *after* every other rule has run and
+    inline suppression has been applied — the engine tracks which
+    ``(line, token)`` pairs matched a finding and reports the rest
+    (see ``engine._stale_suppress_findings``). This registration
+    carries the rule's metadata, severity, and the autofix hook.
     """
-    lowered = name.lower()
-    exact = DIMENSION_NAMES.get(lowered)
-    if exact is not None:
-        return exact
-    for suffix in _SUFFIXES_BY_LENGTH:
-        if lowered.endswith(suffix):
-            return DIMENSION_SUFFIXES[suffix]
-    return None
-
-
-def _callee_name(func: ast.AST) -> Optional[str]:
-    """The bare name a call's target goes by (``f`` or ``obj.f``)."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-class ScopeEnv:
-    """Inferred dimensions of a scope's un-suffixed locals.
-
-    Names whose *own* name declares a dimension never enter the env —
-    the declared dimension is the contract (and the assignment rule
-    checks writes against it). A local assigned conflicting dimensions
-    across the scope is demoted to ambiguous and excluded from checks.
-    """
-
-    def __init__(self) -> None:
-        self._dims: Dict[str, Optional[str]] = {}
-
-    def record(self, name: str, dim: Optional[str]) -> None:
-        if dim is None or dim_of_identifier(name) is not None:
-            return
-        if name in self._dims and self._dims[name] != dim:
-            self._dims[name] = None  # ambiguous: repurposed local
-        else:
-            self._dims[name] = dim
-
-    def get(self, name: str) -> Optional[str]:
-        return self._dims.get(name)
-
-
-def dim_of(
-    node: ast.AST,
-    imports: ImportTracker,
-    env: Optional[ScopeEnv] = None,
-    index: Optional["ProgramIndex"] = None,
-) -> Optional[str]:
-    """Infer the dimension of an expression, or ``None`` for unknown.
-
-    Deliberately conservative: multiplication and division yield
-    unknown (a product changes the unit, and a scale factor such as
-    ``duration_ms / 1000`` is a legitimate manual conversion), so only
-    same-unit operations — additive arithmetic, comparison, argument
-    passing, assignment, return — are ever checked. With a
-    :class:`ProgramIndex`, calls additionally resolve through the
-    callee's *summarized* return dimension, making the flow
-    interprocedural.
-    """
-    if isinstance(node, ast.Name):
-        declared = dim_of_identifier(node.id)
-        if declared is not None:
-            return declared
-        return env.get(node.id) if env is not None else None
-    if isinstance(node, ast.Attribute):
-        return dim_of_identifier(node.attr)
-    if isinstance(node, ast.Subscript):
-        # chunk_sizes_bits[i] carries its sequence's dimension.
-        return dim_of(node.value, imports, env, index)
-    if isinstance(node, ast.Call):
-        return _dim_of_call(node, imports, env, index)
-    if isinstance(node, ast.UnaryOp) and isinstance(
-        node.op, (ast.UAdd, ast.USub)
-    ):
-        return dim_of(node.operand, imports, env, index)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        left = dim_of(node.left, imports, env, index)
-        right = dim_of(node.right, imports, env, index)
-        if left is not None and left == right:
-            return left
-        return None
-    if isinstance(node, ast.IfExp):
-        body = dim_of(node.body, imports, env, index)
-        orelse = dim_of(node.orelse, imports, env, index)
-        if body is not None and body == orelse:
-            return body
-        return None
-    return None
-
-
-def _dim_of_call(
-    node: ast.Call,
-    imports: ImportTracker,
-    env: Optional[ScopeEnv],
-    index: Optional["ProgramIndex"] = None,
-) -> Optional[str]:
-    name = _callee_name(node.func)
-    if name is None:
-        return None
-    if isinstance(node.func, ast.Name) and node.func.id in imports.converters:
-        return CONVERTER_SIGNATURES[imports.converters[node.func.id]][1]
-    if name in CONVERTER_SIGNATURES:
-        return CONVERTER_SIGNATURES[name][1]
-    if name in _TRANSPARENT_CALLS and len(node.args) == 1:
-        return dim_of(node.args[0], imports, env, index)
-    if name in _AGGREGATING_CALLS and node.args:
-        dims = {dim_of(arg, imports, env, index) for arg in node.args}
-        dims.discard(None)
-        if len(dims) == 1:
-            return dims.pop()
-        return None
-    # Functions advertise their return dimension by name, the same
-    # convention as variables: trace.average_kbps() is rate-kbps.
-    declared = dim_of_identifier(name)
-    if declared is not None:
-        return declared
-    # Interprocedural: an un-suffixed callee may still have a known
-    # return dimension in the whole-program index (declared by the
-    # callee's own returns, possibly through further calls).
-    if index is not None:
-        return index.return_dim(name)
-    return None
-
-
-def converter_signature(
-    node: ast.Call, imports: ImportTracker
-) -> Optional[Tuple[Tuple[str, ...], str]]:
-    """The (param dims, return dim) of a call to a units.py converter."""
-    if isinstance(node.func, ast.Name) and node.func.id in imports.converters:
-        return CONVERTER_SIGNATURES[imports.converters[node.func.id]]
-    name = _callee_name(node.func)
-    if name in CONVERTER_SIGNATURES:
-        return CONVERTER_SIGNATURES[name]
-    return None
-
-
-# -- scope iteration --------------------------------------------------------
-
-
-def iter_scopes(
-    tree: ast.Module,
-) -> Iterator[Tuple[Optional[ast.AST], List[ast.stmt]]]:
-    """Yield (scope node, body) for the module and every function.
-
-    The module scope is yielded with ``None``; class bodies are not
-    scopes of their own (their statements run in the module pass), but
-    methods are.
-    """
-    yield None, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
-
-
-def iter_scope_statements(body: List[ast.stmt]) -> Iterator[ast.stmt]:
-    """Statements of one scope in source order, recursing into
-    control-flow bodies but never into nested functions or classes."""
-    for stmt in body:
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        yield stmt
-        for attr in ("body", "orelse", "finalbody"):
-            children = getattr(stmt, attr, None)
-            if children:
-                yield from iter_scope_statements(children)
-        for handler in getattr(stmt, "handlers", ()):
-            yield from iter_scope_statements(handler.body)
-
-
-def _mutable_global_names(tree: ast.Module) -> Set[str]:
-    """Module-level names bound to mutable containers (caches etc.)."""
-    mutable_ctors = {
-        "dict",
-        "list",
-        "set",
-        "defaultdict",
-        "deque",
-        "OrderedDict",
-        "Counter",
-    }
-    out: Set[str] = set()
-    for stmt in iter_scope_statements(tree.body):
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            continue
-        is_mutable = isinstance(
-            value,
-            (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.SetComp,
-             ast.ListComp),
-        ) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in mutable_ctors
-        )
-        if is_mutable:
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
-    return out
-
-
-def iter_scope_expressions(body: List[ast.stmt]) -> Iterator[ast.AST]:
-    """Every AST node of one scope, pruning nested function/class defs
-    (they are checked as their own scopes, with their own env)."""
-    for stmt in iter_scope_statements(body):
-        stack: List[ast.AST] = [stmt]
-        while stack:
-            node = stack.pop()
-            yield node
-            for child in ast.iter_child_nodes(node):
-                if isinstance(
-                    child,
-                    (
-                        ast.FunctionDef,
-                        ast.AsyncFunctionDef,
-                        ast.ClassDef,
-                        ast.Lambda,
-                    ),
-                ):
-                    continue
-                if isinstance(child, ast.stmt):
-                    continue  # reached via iter_scope_statements
-                stack.append(child)
-
-
-# -- whole-program index ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FunctionSummary:
-    """Picklable per-function facts the interprocedural rules consume.
-
-    ``return_dim`` is the dimension declared by the function's own name
-    or locally inferred when every return statement agrees;
-    ``return_calls`` names callees whose (not yet known) return
-    dimension the function forwards — the fixed-point pass in
-    :meth:`ProgramIndex.resolve` closes those. ``returns_opaque`` marks
-    functions with at least one return no summary can type, which
-    blocks inference entirely (never guess).
-    """
-
-    name: str
-    qualname: str
-    module: str
-    line: int
-    params: Tuple[str, ...]
-    return_dim: Optional[str]
-    return_calls: Tuple[str, ...]
-    returns_opaque: bool
-    callees: Tuple[str, ...]
-    hot: bool
-    #: Name of the class this function interns into a module-level
-    #: cache (``""`` when the stored value's class is not syntactically
-    #: evident); ``None`` when the function does not intern at all.
-    interns: Optional[str]
-    #: Direct ambient-nondeterminism facts (the DET machinery applied
-    #: per function): does the body read the wall clock / draw from the
-    #: process-global RNG? ``POLICY-NONDETERMINISM`` closes these over
-    #: the call graph.
-    wallclock: bool = False
-    unseeded_random: bool = False
-
-
-@dataclass(frozen=True)
-class ClassSummary:
-    """Picklable per-class facts: slots, frozen-ness, sharing."""
-
-    name: str
-    module: str
-    line: int
-    bases: Tuple[str, ...]
-    #: Declared ``__slots__`` names (including ``dataclass(slots=True)``
-    #: fields); ``None`` when the class has no slots declaration.
-    slots: Optional[Tuple[str, ...]]
-    frozen: bool
-    shared: bool
-    is_dataclass: bool
-    #: Annotated class-body fields as ``(name, annotation source)``
-    #: pairs in declaration order — the compatibility surface of a spec
-    #: dataclass (``SURF-KEY-CHURN`` compares these against the
-    #: committed snapshot).
-    fields: Tuple[Tuple[str, str], ...] = ()
-    #: Does the class define a ``key()`` method? Marks the roots of the
-    #: content-addressed spec closure.
-    has_key: bool = False
-    #: String keys of the dict literal a ``spec_dict()`` method
-    #: returns — the canonical-JSON key layout feeding ``key()``;
-    #: ``None`` when there is no such method (or its return is not a
-    #: plain dict literal).
-    spec_dict_keys: Optional[Tuple[str, ...]] = None
-    #: Names of methods defined directly on the class body — the
-    #: POLICY rules walk these across module boundaries to decide
-    #: whether a player inherits a failure hook from a real base.
-    methods: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ModuleSummary:
-    """Everything one module contributes to the program index."""
-
-    module: str
-    functions: Tuple[FunctionSummary, ...]
-    classes: Tuple[ClassSummary, ...]
-    mutable_globals: Tuple[str, ...]
-    #: Module-level ``*_SCHEMA_VERSION`` integer constants as
-    #: ``(name, value)`` pairs — the versions that gate the module's
-    #: compatibility surfaces.
-    schema_versions: Tuple[Tuple[str, int], ...] = ()
-
-
-def _dataclass_facts(node: ast.ClassDef) -> Tuple[bool, bool, bool]:
-    """(is_dataclass, slots=True, frozen=True) from the decorators."""
-    is_dc = has_slots = frozen = False
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name != "dataclass":
-            continue
-        is_dc = True
-        if isinstance(deco, ast.Call):
-            for kw in deco.keywords:
-                if not isinstance(kw.value, ast.Constant):
-                    continue
-                if kw.arg == "slots" and kw.value.value is True:
-                    has_slots = True
-                elif kw.arg == "frozen" and kw.value.value is True:
-                    frozen = True
-    return is_dc, has_slots, frozen
-
-
-def _class_slots(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
-    """The class's declared slot names, or ``None`` without slots."""
-    is_dc, dc_slots, _frozen = _dataclass_facts(node)
-    names: List[str] = []
-    found = False
-    for stmt in node.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "__slots__"
-        ):
-            found = True
-            if isinstance(stmt.value, (ast.Tuple, ast.List, ast.Set)):
-                for elt in stmt.value.elts:
-                    if isinstance(elt, ast.Constant) and isinstance(
-                        elt.value, str
-                    ):
-                        names.append(elt.value)
-                    else:
-                        return None  # non-literal slots: unknowable
-            elif isinstance(stmt.value, ast.Constant) and isinstance(
-                stmt.value.value, str
-            ):
-                names.append(stmt.value.value)
-            else:
-                return None
-    if found:
-        return tuple(names)
-    if is_dc and dc_slots:
-        # dataclass(slots=True): the synthesized slots are the fields.
-        fields = [
-            stmt.target.id
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-        ]
-        return tuple(fields)
-    return None
-
-
-def _class_fields(node: ast.ClassDef) -> Tuple[Tuple[str, str], ...]:
-    """Annotated class-body fields as (name, annotation source) pairs."""
-    fields: List[Tuple[str, str]] = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            fields.append((stmt.target.id, ast.unparse(stmt.annotation)))
-    return tuple(fields)
-
-
-def _spec_dict_keys(node: ast.ClassDef) -> Optional[Tuple[str, ...]]:
-    """Keys of the dict literal a ``spec_dict`` method returns.
-
-    ``None`` when the class has no ``spec_dict`` or when any return is
-    not a plain dict literal with constant string keys (unknowable —
-    the surface rule then falls back to the field set alone).
-    """
-    for stmt in node.body:
-        if not (
-            isinstance(stmt, ast.FunctionDef) and stmt.name == "spec_dict"
-        ):
-            continue
-        for sub in iter_scope_statements(stmt.body):
-            if not isinstance(sub, ast.Return) or sub.value is None:
-                continue
-            if not isinstance(sub.value, ast.Dict):
-                return None
-            keys: List[str] = []
-            for key in sub.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
-                ):
-                    keys.append(key.value)
-                else:
-                    return None
-            return tuple(keys)
-    return None
-
-
-def _has_method(node: ast.ClassDef, name: str) -> bool:
-    return any(
-        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and stmt.name == name
-        for stmt in node.body
-    )
-
-
-def _module_schema_versions(tree: ast.Module) -> Tuple[Tuple[str, int], ...]:
-    """Module-level ``*_SCHEMA_VERSION = <int>`` constants, in order."""
-    versions: List[Tuple[str, int]] = []
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id.endswith("_SCHEMA_VERSION")
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, int)
-            and not isinstance(stmt.value.value, bool)
-        ):
-            versions.append((stmt.targets[0].id, stmt.value.value))
-    return tuple(versions)
-
-
-def _base_names(node: ast.ClassDef) -> Tuple[str, ...]:
-    names: List[str] = []
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-        else:
-            names.append("?")  # unresolvable base expression
-    return tuple(names)
-
-
-def _function_env(
-    node: ast.AST, imports: ImportTracker
-) -> ScopeEnv:
-    """A cheap locals env for summarization (assignment pass only)."""
-    env = ScopeEnv()
-    for stmt in iter_scope_statements(node.body):
-        if isinstance(stmt, ast.Assign):
-            value_dim = dim_of(stmt.value, imports, env)
-            for target in stmt.targets:
-                for name_node in ast.walk(target):
-                    if isinstance(name_node, ast.Name):
-                        env.record(name_node.id, value_dim)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if isinstance(stmt.target, ast.Name):
-                env.record(
-                    stmt.target.id, dim_of(stmt.value, imports, env)
-                )
-    return env
-
-
-def _summarize_function(
-    node: ast.AST,
-    qualname: str,
-    module: str,
-    src: PySource,
-    mutable_globals: Set[str],
-) -> FunctionSummary:
-    imports = src.imports
-    params = [a.arg for a in node.args.posonlyargs + node.args.args]
-    if params and params[0] in ("self", "cls"):
-        params = params[1:]
-    declared = dim_of_identifier(node.name)
-    return_dim: Optional[str] = declared
-    return_calls: List[str] = []
-    returns_opaque = False
-    if declared is None:
-        env = _function_env(node, imports)
-        local_dims: Set[str] = set()
-        for stmt in iter_scope_statements(node.body):
-            if not isinstance(stmt, ast.Return) or stmt.value is None:
-                continue
-            d = dim_of(stmt.value, imports, env)
-            if d is not None:
-                local_dims.add(d)
-            elif isinstance(stmt.value, ast.Call):
-                callee = _callee_name(stmt.value.func)
-                if callee is None:
-                    returns_opaque = True
-                else:
-                    return_calls.append(callee)
-            elif isinstance(stmt.value, ast.Constant):
-                pass  # dimensionless literal: never blocks inference
-            else:
-                returns_opaque = True
-        if not returns_opaque and local_dims and not return_calls:
-            if len(local_dims) == 1:
-                return_dim = local_dims.pop()
-            else:
-                returns_opaque = True
-        elif local_dims and return_calls:
-            # Mixed known/deferred returns: resolved at fixed point
-            # only if the callees end up agreeing with the known dims;
-            # encode the known dims as pseudo-deferred via opaqueness
-            # when they already disagree.
-            if len(local_dims) > 1:
-                returns_opaque = True
-                return_calls = []
-    callees = []
-    wallclock = False
-    unseeded_random = False
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            callee = _callee_name(sub.func)
-            if callee is not None:
-                callees.append(callee)
-            if not wallclock and wallclock_call(sub, imports) is not None:
-                wallclock = True
-            if (
-                not unseeded_random
-                and unseeded_random_call(sub, imports) is not None
-            ):
-                unseeded_random = True
-    interns: Optional[str] = None
-    has_return_value = any(
-        isinstance(stmt, ast.Return) and stmt.value is not None
-        for stmt in iter_scope_statements(node.body)
-    )
-    if has_return_value and mutable_globals:
-        for stmt in iter_scope_statements(node.body):
-            targets: List[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-                value = stmt.value
-            elif isinstance(stmt, ast.AugAssign):
-                targets = [stmt.target]
-                value = stmt.value
-            else:
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in mutable_globals
-                ):
-                    stored = ""
-                    if isinstance(value, ast.Call):
-                        stored = _callee_name(value.func) or ""
-                    interns = stored
-    return FunctionSummary(
-        name=node.name,
-        qualname=qualname,
-        module=module,
-        line=node.lineno,
-        params=tuple(params),
-        return_dim=return_dim,
-        return_calls=tuple(return_calls),
-        returns_opaque=returns_opaque,
-        callees=tuple(callees),
-        hot=src.hot_mark(node) is not None,
-        interns=interns,
-        wallclock=wallclock,
-        unseeded_random=unseeded_random,
-    )
-
-
-def summarize_module(src: PySource, module: str) -> ModuleSummary:
-    """Summarize one parsed module for the program index.
-
-    Summaries are plain picklable dataclasses: a parallel lint run
-    computes them per worker batch and merges them in the parent into
-    the same :class:`ProgramIndex` a serial run builds.
-    """
-    mutable_globals = _mutable_global_names(src.tree)
-    functions: List[FunctionSummary] = []
-    classes: List[ClassSummary] = []
-
-    def visit(body: List[ast.stmt], prefix: str) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{stmt.name}"
-                functions.append(
-                    _summarize_function(
-                        stmt, qualname, module, src, mutable_globals
-                    )
-                )
-                visit(stmt.body, f"{qualname}.<locals>.")
-            elif isinstance(stmt, ast.ClassDef):
-                is_dc, _dc_slots, frozen = _dataclass_facts(stmt)
-                classes.append(
-                    ClassSummary(
-                        name=stmt.name,
-                        module=module,
-                        line=stmt.lineno,
-                        bases=_base_names(stmt),
-                        slots=_class_slots(stmt),
-                        frozen=frozen,
-                        shared=src.shared_mark(stmt),
-                        is_dataclass=is_dc,
-                        fields=_class_fields(stmt),
-                        has_key=_has_method(stmt, "key"),
-                        spec_dict_keys=_spec_dict_keys(stmt),
-                        methods=tuple(
-                            inner.name
-                            for inner in stmt.body
-                            if isinstance(
-                                inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-                            )
-                        ),
-                    )
-                )
-                visit(stmt.body, f"{prefix}{stmt.name}.")
-
-    visit(src.tree.body, "")
-    return ModuleSummary(
-        module=module,
-        functions=tuple(functions),
-        classes=tuple(classes),
-        mutable_globals=tuple(sorted(mutable_globals)),
-        schema_versions=_module_schema_versions(src.tree),
-    )
-
-
-def _merge_function(
-    existing: Optional[FunctionSummary], new: FunctionSummary
-) -> Optional[FunctionSummary]:
-    """Name-collision policy: keep only facts every definition shares."""
-    if existing is None:
-        return None
-    if (
-        existing.params == new.params
-        and existing.return_dim == new.return_dim
-        and existing.return_calls == new.return_calls
-        and existing.returns_opaque == new.returns_opaque
-    ):
-        if (new.wallclock and not existing.wallclock) or (
-            new.unseeded_random and not existing.unseeded_random
-        ):
-            # Taint is OR-merged (commutative, so merge order still
-            # does not matter): one nondeterministic namesake taints
-            # the bare name for every caller.
-            return replace(
-                existing,
-                wallclock=existing.wallclock or new.wallclock,
-                unseeded_random=existing.unseeded_random
-                or new.unseeded_random,
-            )
-        return existing
-    return None
-
-
-class ProgramIndex:
-    """The merged whole-program view: call graph + summaries by name.
-
-    Resolution is by *bare name*, matching the house style of
-    ``_module_param_table``: a name defined more than once with
-    conflicting facts is ambiguous and answers ``None`` to every query
-    (conservative — never checked). The index is picklable, so the
-    parallel lint path ships it into worker processes.
-    """
-
-    def __init__(
-        self,
-        functions: Dict[str, Optional[FunctionSummary]],
-        classes: Dict[str, Optional[ClassSummary]],
-        schema_versions: Optional[Dict[str, Tuple[Tuple[str, int], ...]]] = None,
-    ) -> None:
-        self.functions = functions
-        self.classes = classes
-        #: ``{module: ((constant name, value), ...)}`` for modules that
-        #: define ``*_SCHEMA_VERSION`` constants (the SURF-* rules read
-        #: these to tell a version bump from silent churn).
-        self.schema_versions = schema_versions or {}
-
-    @classmethod
-    def build(cls, summaries: Iterable["ModuleSummary"]) -> "ProgramIndex":
-        functions: Dict[str, Optional[FunctionSummary]] = {}
-        classes: Dict[str, Optional[ClassSummary]] = {}
-        schema_versions: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-        for summary in summaries:
-            if summary.schema_versions:
-                schema_versions[summary.module] = summary.schema_versions
-            for fn in summary.functions:
-                if fn.name in functions:
-                    functions[fn.name] = _merge_function(
-                        functions[fn.name], fn
-                    )
-                else:
-                    functions[fn.name] = fn
-            for klass in summary.classes:
-                if klass.name in classes:
-                    if classes[klass.name] != klass:
-                        classes[klass.name] = None
-                else:
-                    classes[klass.name] = klass
-        index = cls(functions, classes, schema_versions)
-        index.resolve()
-        return index
-
-    def resolve(self) -> None:
-        """Fixed point: push return dimensions through the call graph.
-
-        A function whose returns all forward calls picks up its
-        callees' dimensions once those are known; iteration stops when
-        a full pass changes nothing (monotone — dims only ever go from
-        unknown to known — so termination is by |functions| passes).
-        """
-        changed = True
-        while changed:
-            changed = False
-            for name, fn in self.functions.items():
-                if (
-                    fn is None
-                    or fn.return_dim is not None
-                    or fn.returns_opaque
-                    or not fn.return_calls
-                ):
-                    continue
-                dims: Set[str] = set()
-                resolved = True
-                for callee in fn.return_calls:
-                    d = self.return_dim(callee)
-                    if d is None:
-                        resolved = False
-                        break
-                    dims.add(d)
-                if resolved and len(dims) == 1:
-                    self.functions[name] = replace(
-                        fn, return_dim=dims.pop()
-                    )
-                    changed = True
-
-    # -- queries ------------------------------------------------------
-
-    def function(self, name: str) -> Optional[FunctionSummary]:
-        return self.functions.get(name)
-
-    def class_summary(self, name: str) -> Optional[ClassSummary]:
-        return self.classes.get(name)
-
-    def return_dim(self, name: str) -> Optional[str]:
-        declared = dim_of_identifier(name)
-        if declared is not None:
-            return declared
-        fn = self.functions.get(name)
-        return fn.return_dim if fn is not None else None
-
-    def param_names(self, name: str) -> Optional[Tuple[str, ...]]:
-        fn = self.functions.get(name)
-        return fn.params if fn is not None else None
-
-    def intern_class(self, name: str) -> Optional[str]:
-        """The class ``name()`` interns, ``""`` unknown, None: not an
-        interning function."""
-        fn = self.functions.get(name)
-        return fn.interns if fn is not None else None
-
-    def slots_union(self, class_name: str) -> Optional[frozenset]:
-        """All slot names of a *fully slotted* class hierarchy.
-
-        ``None`` when the class (or any base) lacks slots or cannot be
-        resolved — instances then carry a ``__dict__`` and arbitrary
-        attribute writes are legal, so slot checks must stay silent.
-        """
-        seen: Set[str] = set()
-
-        def walk(name: str) -> Optional[frozenset]:
-            if name == "object":
-                return frozenset()
-            if name in seen:
-                return None  # cycle: be conservative
-            seen.add(name)
-            klass = self.classes.get(name)
-            if klass is None or klass.slots is None:
-                return None
-            union = set(klass.slots)
-            for base in klass.bases:
-                base_slots = walk(base)
-                if base_slots is None:
-                    return None
-                union |= base_slots
-            return frozenset(union)
-
-        return walk(class_name)
-
-
-def build_program_index(
-    sources: Mapping[str, PySource]
-) -> ProgramIndex:
-    """Summarize and merge every parsed module of one analysis run."""
-    return ProgramIndex.build(
-        summarize_module(src, name) for name, src in sources.items()
-    )
+    return iter(())

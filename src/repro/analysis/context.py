@@ -22,7 +22,6 @@ from .hls_syntax import ScannedPlaylist
 from .spans import Document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .code_engine import ProgramIndex
     from .engine import AnalyzerConfig
 
 
@@ -33,14 +32,6 @@ class RuleContext:
     documents: Dict[str, Document] = field(default_factory=dict)
     playlists: Dict[str, ScannedPlaylist] = field(default_factory=dict)
     config: Optional["AnalyzerConfig"] = None
-    #: Whole-program index over the run's Python documents (call graph,
-    #: function/class summaries); None for manifest-only runs.
-    program: Optional["ProgramIndex"] = None
-    #: Committed compatibility-surface snapshots loaded from
-    #: ``AnalyzerConfig.surfaces_dir`` (``{surface name: parsed JSON}``);
-    #: None when no snapshot directory is configured — the ``SURF-*``
-    #: drift rules then skip their snapshot comparisons.
-    surfaces: Optional[Dict[str, dict]] = None
 
     @property
     def media_playlists(self) -> Dict[str, ScannedPlaylist]:

@@ -19,15 +19,10 @@ a deterministically ordered list of findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Set, Tuple
 
-from .code_engine import (
-    ProgramIndex,
-    PySource,
-    build_program_index,
-    parse_python,
-)
+from .code_engine import PySource, parse_python
 from .context import RuleContext
 from .dash_syntax import XmlElement, XmlParseFailure, parse_xml
 from .findings import Baseline, Finding, sort_findings
@@ -56,13 +51,6 @@ class AnalyzerConfig:
     selected: Optional[frozenset] = None
     #: Known findings to suppress (see :class:`Baseline`).
     baseline: Optional[Baseline] = None
-    #: Directory of committed compatibility-surface snapshots
-    #: (``surfaces/*.json``). ``None`` disables the ``SURF-*`` snapshot
-    #: comparisons; a path that does not exist behaves like an empty
-    #: directory. The path is read from disk in :func:`prepare`, so the
-    #: parallel lint workers (which re-run ``prepare`` per batch) load
-    #: the identical snapshots a serial run sees.
-    surfaces_dir: Optional[str] = None
 
     def rule_enabled(self, rule_id: str) -> bool:
         if rule_id in self.disabled:
@@ -109,21 +97,10 @@ def classify_name(name: str, text: str) -> str:
 def prepare(
     files: Mapping[str, str],
     config: Optional[AnalyzerConfig] = None,
-    program: Optional[ProgramIndex] = None,
 ) -> Tuple[List[AnalyzedDocument], RuleContext]:
-    """Parse every document and build the shared rule context.
-
-    ``program`` lets a caller supply a pre-built whole-program index
-    (the parallel lint path merges worker-batch summaries in the
-    parent); without one, the index is built here from the run's own
-    Python documents.
-    """
+    """Parse every document and build the shared rule context."""
     prepared: List[AnalyzedDocument] = []
     ctx = RuleContext(config=config or DEFAULT_CONFIG)
-    if config is not None and config.surfaces_dir is not None:
-        from .code_surfaces import load_surfaces
-
-        ctx.surfaces = load_surfaces(config.surfaces_dir)
     for name, text in files.items():
         doc = Document(name=name, text=text)
         kind = classify_name(name, text)
@@ -165,12 +142,6 @@ def prepare(
             )
             ctx.playlists[name] = scanned
         ctx.documents[name] = doc
-    if program is not None:
-        ctx.program = program
-    else:
-        sources = {a.name: a.python for a in prepared if a.python is not None}
-        if sources:
-            ctx.program = build_program_index(sources)
     return prepared, ctx
 
 
@@ -277,11 +248,10 @@ def run_rules(
 def analyze_files(
     files: Mapping[str, str],
     config: Optional[AnalyzerConfig] = None,
-    program: Optional[ProgramIndex] = None,
 ) -> List[Finding]:
     """Analyze a set of documents; the package-level entry point."""
     config = config or DEFAULT_CONFIG
-    prepared, ctx = prepare(files, config, program=program)
+    prepared, ctx = prepare(files, config)
     findings = run_rules(prepared, ctx)
     if config.baseline is not None:
         findings = config.baseline.filter(findings)

@@ -26,37 +26,138 @@ three ways that invariant historically breaks:
 
 A line opts out with the unified suppression grammar shared by every
 code rule — ``# lint: allow[DET-SET-ORDER]`` — applied centrally by the
-analysis engine (see :mod:`repro.analysis.code_engine`). The legacy
-``# det: allow`` comment still works for ``DET-*`` rules for one
-release, at the cost of a ``LINT-DEPRECATED-SUPPRESS`` note.
-
-The shared parsing/import-tracking infrastructure these rules grew in
-PR 3 now lives in :mod:`repro.analysis.code_engine`; the public names
-(:class:`PySource`, :func:`parse_python`) are re-exported here for
-backwards compatibility.
+analysis engine (see :mod:`repro.analysis.code_engine`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Dict, Iterator, Optional, Set
 
-from .code_engine import (  # noqa: F401  (re-exported for back-compat)
-    ImportTracker,
-    LEGACY_SUPPRESS_COMMENT,
-    PySource,
-    RANDOM_MODULE_FUNCS,
-    WALLCLOCK_DATETIME_FUNCS,
-    WALLCLOCK_TIME_FUNCS,
-    parse_python,
-    unseeded_random_call,
-    wallclock_call,
-)
+from .code_engine import PySource
 from .findings import Finding, Severity
 from .registry import Category, Kind, rule
 
-#: Legacy name kept for back-compat with PR 3 callers.
-SUPPRESS_COMMENT = "# " + LEGACY_SUPPRESS_COMMENT
+#: ``random`` module-level functions whose use implies the shared,
+#: unseeded global RNG.
+RANDOM_MODULE_FUNCS = {
+    "random",
+    "randint",
+    "randrange",
+    "uniform",
+    "triangular",
+    "choice",
+    "choices",
+    "shuffle",
+    "sample",
+    "gauss",
+    "normalvariate",
+    "lognormvariate",
+    "expovariate",
+    "vonmisesvariate",
+    "gammavariate",
+    "betavariate",
+    "paretovariate",
+    "weibullvariate",
+    "getrandbits",
+    "randbytes",
+}
+
+WALLCLOCK_TIME_FUNCS = {"time", "time_ns"}
+WALLCLOCK_DATETIME_FUNCS = {"now", "utcnow", "today"}
+
+
+class ImportTracker:
+    """What local names refer to ``random``, ``time`` and ``datetime``."""
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.random_modules: Set[str] = set()
+        self.time_modules: Set[str] = set()
+        self.datetime_modules: Set[str] = set()
+        self.datetime_classes: Set[str] = set()
+        #: local name -> random module function it aliases
+        self.random_funcs: Dict[str, str] = {}
+        #: local name -> time module function it aliases
+        self.time_funcs: Dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    if alias.name == "random":
+                        self.random_modules.add(local)
+                    elif alias.name == "time":
+                        self.time_modules.add(local)
+                    elif alias.name == "datetime":
+                        self.datetime_modules.add(local)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module == "random" and (
+                        alias.name in RANDOM_MODULE_FUNCS or alias.name == "seed"
+                    ):
+                        self.random_funcs[local] = alias.name
+                    elif (
+                        node.module == "time"
+                        and alias.name in WALLCLOCK_TIME_FUNCS
+                    ):
+                        self.time_funcs[local] = alias.name
+                    elif node.module == "datetime" and alias.name in {
+                        "datetime",
+                        "date",
+                    }:
+                        self.datetime_classes.add(local)
+
+
+def unseeded_random_call(node: ast.Call, imports: ImportTracker) -> Optional[str]:
+    """Describe ``node`` if it draws from the global RNG, else ``None``."""
+    func = node.func
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id in imports.random_modules
+    ):
+        if func.attr in RANDOM_MODULE_FUNCS:
+            return f"random.{func.attr}()"
+        if func.attr in {"Random", "seed"} and not (node.args or node.keywords):
+            return f"random.{func.attr}() without a seed"
+    elif isinstance(func, ast.Name) and func.id in imports.random_funcs:
+        original = imports.random_funcs[func.id]
+        if original == "seed":
+            if not (node.args or node.keywords):
+                return "seed() without a seed value"
+        else:
+            return f"{original}() imported from random"
+    return None
+
+
+def wallclock_call(node: ast.Call, imports: ImportTracker) -> Optional[str]:
+    """Describe ``node`` if it reads the wall clock, else ``None``."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        base = func.value
+        if (
+            isinstance(base, ast.Name)
+            and base.id in imports.time_modules
+            and func.attr in WALLCLOCK_TIME_FUNCS
+        ):
+            return f"time.{func.attr}()"
+        if (
+            isinstance(base, ast.Name)
+            and base.id in imports.datetime_classes
+            and func.attr in WALLCLOCK_DATETIME_FUNCS
+        ):
+            return f"datetime.{func.attr}()"
+        if (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and base.value.id in imports.datetime_modules
+            and base.attr in {"datetime", "date"}
+            and func.attr in WALLCLOCK_DATETIME_FUNCS
+        ):
+            return f"datetime.{base.attr}.{func.attr}()"
+    elif isinstance(func, ast.Name) and func.id in imports.time_funcs:
+        return f"{imports.time_funcs[func.id]}() imported from time"
+    return None
 
 #: Builtins that materialize their iterable in iteration order.
 _ORDER_SENSITIVE_BUILTINS = {"list", "tuple", "enumerate", "iter"}
@@ -89,12 +190,10 @@ def _describe_set(node: ast.AST) -> str:
     reference="repro.runner cache contract (PR 2); docs/architecture.md",
 )
 def check_unseeded_random(src: PySource, ctx) -> Iterator[Finding]:
-    imports = src.imports
+    imports = ImportTracker(src.tree)
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.Call):
             continue
-        # Detection lives in code_engine.unseeded_random_call so the
-        # function summaries (and POLICY-NONDETERMINISM) share it.
         flagged = unseeded_random_call(node, imports)
         if flagged:
             yield check_unseeded_random.rule.finding(
@@ -115,11 +214,10 @@ def check_unseeded_random(src: PySource, ctx) -> Iterator[Finding]:
     reference="repro.runner cache contract (PR 2)",
 )
 def check_wallclock(src: PySource, ctx) -> Iterator[Finding]:
-    imports = src.imports
+    imports = ImportTracker(src.tree)
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.Call):
             continue
-        # Detection lives in code_engine.wallclock_call; see above.
         flagged = wallclock_call(node, imports)
         if flagged:
             yield check_wallclock.rule.finding(

@@ -34,13 +34,8 @@ class Category:
     DASHIF = "dashif-conformance"
     PAPER = "paper-best-practice"
     DETERMINISM = "simulator-determinism"
-    UNITS = "units-dimension-flow"
     POOL = "pickle-fork-safety"
     HYGIENE = "lint-hygiene"
-    SHARE = "shared-state-safety"
-    HOT = "hot-path-discipline"
-    SURF = "compatibility-surface"
-    POLICY = "player-contract"
 
 
 class Kind:

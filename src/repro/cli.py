@@ -22,7 +22,6 @@ from typing import List, Optional
 from .core.combinations import all_combinations, hsub_combinations
 from .core.player import RecommendedPlayer
 from .experiments import experiment_names, run_experiment
-from .analysis.findings import Severity
 from .manifest.dash import write_mpd
 from .manifest.packager import package_dash, package_hls
 from .media.content import drama_show
@@ -280,11 +279,8 @@ def _collect_lint_files(paths):
 def _packaged_lint_files(args):
     """Synthesize the reference-title packaging the legacy CLI linted."""
     content = drama_show()
-    manifest_format = (
-        args.format if args.format in ("dash", "hls") else args.manifest
-    )
     combos = hsub_combinations(content) if args.curated else None
-    if manifest_format == "dash":
+    if args.manifest == "dash":
         manifest = package_dash(content, allowed_combinations=combos)
         return {"manifest.mpd": write_mpd(manifest)}
     package = package_hls(
@@ -303,6 +299,7 @@ def cmd_lint(args) -> int:
     2 a document could not be parsed at all (or bad usage).
     """
     from . import analysis
+    from .analysis.emitters import RENDERERS
 
     disabled = frozenset(
         rule_id for spec in args.disable for rule_id in spec.split(",") if rule_id
@@ -318,30 +315,10 @@ def cmd_lint(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
             return 2
-    import os
-
-    surfaces_given = args.surfaces is not None
-    if args.surfaces is None:
-        args.surfaces = "surfaces"
-    surfaces_dir = args.surfaces
-    if not os.path.isdir(surfaces_dir) and not args.update_surfaces:
-        # The default "surfaces" only arms the SURF comparisons when
-        # the snapshot directory actually exists (linting an arbitrary
-        # tree must not demand one); an explicit missing path is a
-        # usage error.
-        if surfaces_given:
-            print(
-                f"surfaces directory {surfaces_dir!r} does not exist "
-                "(run `repro-abr lint --update-surfaces` to create it)",
-                file=sys.stderr,
-            )
-            return 2
-        surfaces_dir = None
     config = analysis.AnalyzerConfig(
         disabled=disabled,
         selected=selected or None,
         baseline=baseline,
-        surfaces_dir=surfaces_dir,
     )
 
     from_disk = bool(args.paths)
@@ -354,30 +331,6 @@ def cmd_lint(args) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_surfaces:
-        if not from_disk:
-            print(
-                "--update-surfaces needs explicit path arguments (the "
-                "surfaces are extracted from the source tree)",
-                file=sys.stderr,
-            )
-            return 2
-        from .analysis.code_surfaces import write_surfaces
-        from .analysis.engine import prepare
-
-        try:
-            prepared, ctx = prepare(files, analysis.AnalyzerConfig())
-        except analysis.AnalysisParseFailure as exc:
-            print(f"parse failure: {exc}", file=sys.stderr)
-            return 2
-        sources = {a.name: a.python for a in prepared if a.python is not None}
-        written = write_surfaces(args.surfaces, sources, ctx.program)
-        print(
-            f"wrote {len(written)} surface snapshot(s) to {args.surfaces}: "
-            + ", ".join(written),
-            file=sys.stderr,
-        )
 
     if args.fix:
         if not from_disk:
@@ -406,12 +359,7 @@ def cmd_lint(args) -> int:
         files = result.files
 
     try:
-        if args.jobs > 1:
-            from .analysis.parallel import analyze_files_parallel
-
-            findings = analyze_files_parallel(files, config, jobs=args.jobs)
-        else:
-            findings = analysis.analyze_files(files, config)
+        findings = analysis.analyze_files(files, config)
     except analysis.AnalysisParseFailure as exc:
         print(f"parse failure: {exc}", file=sys.stderr)
         return 2
@@ -425,14 +373,9 @@ def cmd_lint(args) -> int:
             file=sys.stderr,
         )
 
-    output_format = args.format if args.format in ("json", "sarif") else "text"
-    renderer = {
-        "text": analysis.render_text,
-        "json": analysis.render_json,
-        "sarif": analysis.render_sarif,
-    }[output_format]
-    sys.stdout.write(renderer(findings))
-    return 1 if analysis.worst_severity(findings) is Severity.ERROR else 0
+    sys.stdout.write(RENDERERS[args.format](findings))
+    worst = analysis.worst_severity(findings)
+    return 1 if worst is analysis.Severity.ERROR else 0
 
 
 def cmd_compare(args) -> int:
@@ -905,10 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = sub.add_parser(
         "lint",
         help="static-analyze manifests (RFC 8216 / DASH-IF / Section 4.1) "
-        "and Python sources (determinism DET-*, units/dimension flow "
-        "UNIT-*, pickle/fork safety POOL-*, shared-state SHARE-*, "
-        "hot-path discipline HOT-*, compatibility surfaces SURF-*, "
-        "player contract POLICY-*)",
+        "and Python sources (determinism DET-*, pickle/fork safety POOL-*)",
     )
     lint_parser.add_argument(
         "paths",
@@ -919,9 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--format",
         default="text",
-        choices=["text", "json", "sarif", "dash", "hls"],
-        help="output format; 'dash'/'hls' are legacy aliases selecting "
-        "the generated packaging (text output)",
+        choices=["text", "json", "sarif"],
+        help="output format",
     )
     lint_parser.add_argument(
         "--manifest",
@@ -964,15 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule IDs to run exclusively (repeatable)",
     )
     lint_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint with N worker processes (two-phase: summarize, then "
-        "lint against the merged whole-program index); findings are "
-        "identical to a serial run",
-    )
-    lint_parser.add_argument(
         "--baseline",
         help="suppression file of known-finding fingerprints to ignore",
     )
@@ -980,20 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         metavar="FILE",
         help="record current findings as the new baseline",
-    )
-    lint_parser.add_argument(
-        "--surfaces",
-        default=None,
-        metavar="DIR",
-        help="directory of committed compatibility-surface snapshots "
-        "the SURF-* rules compare against (default: surfaces/ when it "
-        "exists)",
-    )
-    lint_parser.add_argument(
-        "--update-surfaces",
-        action="store_true",
-        help="re-extract the compatibility surfaces from the given "
-        "paths and rewrite the snapshot files before linting",
     )
     lint_parser.set_defaults(func=cmd_lint)
 

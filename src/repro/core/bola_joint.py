@@ -25,7 +25,7 @@ from .balancer import PrefetchBalancer
 from .combinations import Combination, CombinationSet
 
 
-class JointBolaPlayer(BasePlayer):  # policy: inherit-failure
+class JointBolaPlayer(BasePlayer):
     """Buffer-based joint A/V adaptation over allowed combinations.
 
     Failure handling deliberately stays on BasePlayer's default: BOLA

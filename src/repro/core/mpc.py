@@ -64,7 +64,7 @@ class MpcConfig:
             raise PlayerError(f"max_step must be >= 1, got {self.max_step}")
 
 
-class MpcPlayer(BasePlayer):  # policy: inherit-failure
+class MpcPlayer(BasePlayer):
     """Horizon-optimizing joint A/V player over allowed combinations.
 
     Failure handling deliberately stays on BasePlayer's default; the

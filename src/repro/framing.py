@@ -26,11 +26,9 @@ module.
 the chaos event log: concurrent writers (worker processes and their
 parent) interleave whole lines, never fragments.
 
-The magics and header ``struct`` formats in this module are a guarded
-compatibility surface: they are snapshotted in ``surfaces/framing.json``
-and any edit fails ``repro-abr lint`` (``SURF-FRAMING-CONST``). On-disk
-framing constants are forever — a new format gets a *new* magic, and
-readers keep accepting the old one.
+The magics and header ``struct`` formats in this module are pinned by
+``tests/test_framing.py``. On-disk framing constants are forever — a
+new format gets a *new* magic, and readers keep accepting the old one.
 """
 
 from __future__ import annotations

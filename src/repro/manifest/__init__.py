@@ -3,9 +3,8 @@
 Manifest *linting* lives in :mod:`repro.analysis` (text-level, with
 source spans, SARIF output and a rule registry). The old object-level
 ``repro.manifest.validate`` shim is gone; its rules live on in the
-analyzer under their original IDs, and the legacy CLI spelling
-``repro-abr lint --format dash|hls`` still parses for one more release
-(guarded by the ``SURF-CLI-DRIFT`` rule).
+analyzer under their original IDs (``repro-abr lint --manifest
+dash|hls`` lints a generated packaging).
 """
 
 from .dash import (

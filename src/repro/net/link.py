@@ -108,7 +108,6 @@ class SharedBottleneck(NetworkModel):
         share = self._cursor.bandwidth_at(t) / len(active)
         return {key: share for key in active}
 
-    # hot
     def media_rates(
         self, video_active: bool, audio_active: bool, t: float
     ) -> Tuple[float, float]:
@@ -126,7 +125,6 @@ class SharedBottleneck(NetworkModel):
     def next_change_after(self, t: float) -> float:
         return self._cursor.next_change_after(t)
 
-    # hot
     def media_step(
         self, video_active: bool, audio_active: bool, t: float
     ) -> Tuple[float, float, float]:
@@ -178,7 +176,6 @@ class SeparatePaths(NetworkModel):
             out[key] = rate / by_medium[medium]
         return out
 
-    # hot
     def media_rates(
         self, video_active: bool, audio_active: bool, t: float
     ) -> Tuple[float, float]:
@@ -195,7 +192,6 @@ class SeparatePaths(NetworkModel):
             self._audio_cursor.next_change_after(t),
         )
 
-    # hot
     def media_step(
         self, video_active: bool, audio_active: bool, t: float
     ) -> Tuple[float, float, float]:

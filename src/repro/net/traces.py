@@ -34,8 +34,6 @@ class TraceSegment:
             raise TraceError(f"segment bandwidth must be non-negative, got {self.kbps}")
 
 
-# shared — read-only after __init__; per-consumer lookup state lives in
-# TraceCursor views handed out by cursor().
 class BandwidthTrace:
     """A piecewise-constant bandwidth profile, looping by default.
 
@@ -200,8 +198,8 @@ class TraceCursor:
     *only* mutable state in the trace machinery, owned by exactly one
     consumer. PR-7 memoized it on the trace itself, which silently
     serialized (and could have corrupted the fast path of) two sessions
-    walking one trace object; SHARE-MUTATES-SHARED now guards that
-    contract.
+    walking one trace object; ``tests/test_session.py``
+    (``TestSharedTraceObject``) now guards that contract.
 
     Every query is bit-identical to the trace's own stateless methods:
     both answer the predicate "largest i with t >= starts[i] - 1e-12".
@@ -225,7 +223,6 @@ class TraceCursor:
     def trace(self) -> BandwidthTrace:
         return self._trace
 
-    # hot
     def _locate(self, t: float) -> Tuple[int, float]:
         """(segment index, time offset within that segment) at time ``t``."""
         if t < 0:
@@ -267,13 +264,11 @@ class TraceCursor:
         self._cursor = lo
         return lo, t - starts[lo]
 
-    # hot
     def bandwidth_at(self, t: float) -> float:
         """Link bandwidth in kbps at absolute time ``t``."""
         index, _ = self._locate(t)
         return self._segments[index].kbps
 
-    # hot
     def next_change_after(self, t: float) -> float:
         """Absolute time of the next rate change strictly after ``t``.
 
@@ -291,7 +286,6 @@ class TraceCursor:
             boundary = math.nextafter(t, math.inf)
         return boundary
 
-    # hot
     def rate_and_next_change(self, t: float) -> Tuple[float, float]:
         """``(bandwidth_at(t), next_change_after(t))`` in one lookup.
 

@@ -6,13 +6,12 @@ told about every completed chunk so it can update its bandwidth
 estimators. Everything else — buffers, the playback clock, the network —
 belongs to the simulator.
 
-Subclasses are linted against the replay/fast-forward contract
-(``POLICY-*`` in ``repro-abr lint``): interned decision objects from
-``choose_next``, transitively deterministic methods, mutation confined
-to the lifecycle hooks declared here, an explicit failure story
-(``on_failure``/``on_download_failed`` or ``# policy:
-inherit-failure``), and base-exact hook parameter names. See the
-player-author checklist in ``docs/static_analysis.md``.
+Subclasses keep the replay/fast-forward contract: ``choose_next``
+returns interned decisions (:func:`~repro.sim.decisions.download_for`,
+``WAIT_FOREVER``), methods are deterministic, state changes only in the
+lifecycle hooks declared here, and overridden hooks keep these
+parameter names. The oracle event logs and the player test suites check
+the behaviour that follows from it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from ..sim.decisions import WAIT_FOREVER, Decision, download_for
 from .base import BasePlayer
 
 
-class FixedTracksPlayer(BasePlayer):  # policy: inherit-failure
+class FixedTracksPlayer(BasePlayer):
     """Always fetches the same (video, audio) pair.
 
     A non-adaptive control has nothing to adapt on failure, so it

@@ -32,12 +32,8 @@ encoded as the strings ``"inf"``/``"-inf"``/``"nan"`` so the payload
 stays strict JSON.
 
 The schema itself — the :class:`EventKind` members, the version
-constants, the per-kind meta fields — is a guarded compatibility
-surface, snapshotted in ``surfaces/events.json``. Drifting it without
-``repro-abr lint --update-surfaces`` fails the lint
-(``SURF-EVENT-DRIFT``), and a writer stamping a version above
-:data:`EVENT_SCHEMA_VERSION` is caught snapshot-free
-(``SURF-READER-CEILING``).
+constants, the topology meta fields — is pinned by
+``tests/test_replay.py`` (``TestSchema``).
 """
 
 from __future__ import annotations

@@ -15,13 +15,11 @@ change the simulation outcome participates in the hash, so editing a
 trace, a seed or a retry policy misses the cache instead of replaying
 a stale result.
 
-The key layout — every field and ``spec_dict()`` key of the dataclasses
-reachable from :meth:`SimulationJob.key` — is a guarded compatibility
-surface, snapshotted in ``surfaces/spec_keys.json``. Changing it fails
-``repro-abr lint`` (``SURF-KEY-CHURN``) until the change is recorded
-with ``--update-surfaces``, and a *semantic* change must also bump
-:data:`SPEC_SCHEMA_VERSION` so old cache entries miss instead of
-colliding (decision table in ``docs/static_analysis.md``).
+The key layout is pinned by ``tests/test_runner.py``
+(``TestKeyContract``): every dataclass field must appear in
+``spec_dict()``, and golden keys fix the bytes. A *semantic* change
+must also bump :data:`SPEC_SCHEMA_VERSION` so old cache entries miss
+instead of colliding.
 """
 
 from __future__ import annotations

@@ -384,7 +384,7 @@ class Session:
 
     # -- event stream ------------------------------------------------------
 
-    def _emit(self, kind: str, payload: Dict[str, object]) -> None:  # hot
+    def _emit(self, kind: str, payload: Dict[str, object]) -> None:
         self._observer.emit(kind, payload)
 
     def _meta_payload(self) -> Dict[str, object]:
@@ -510,7 +510,7 @@ class Session:
 
     # -- scheduling --------------------------------------------------------
 
-    def _fill_slots(self) -> None:  # hot
+    def _fill_slots(self) -> None:
         n_chunks = self._n_chunks
         deadline = self.now + _EPS
         vod = self.config.live_offset_s is None
@@ -539,7 +539,7 @@ class Session:
                 if self._observer is not None:
                     self._emit(
                         "decision",
-                        {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                        {
                             "t": self.now,
                             "medium": medium.value,
                             "action": "download",
@@ -556,7 +556,7 @@ class Session:
                 if self._observer is not None:
                     self._emit(
                         "decision",
-                        {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                        {
                             "t": self.now,
                             "medium": medium.value,
                             "action": "wait",
@@ -569,7 +569,7 @@ class Session:
                     f"choose_next must return Download or Wait, got {decision!r}"
                 )
 
-    def _start_download(self, lane: _MediumLane, track_id: str) -> None:  # hot
+    def _start_download(self, lane: _MediumLane, track_id: str) -> None:
         medium = lane.medium
         # Track identity/medium never changes mid-session; validate each
         # track id once and remember its medium.
@@ -671,7 +671,7 @@ class Session:
         if self._terminated is None:
             self._terminated = reason
 
-    def _process_failures(self) -> None:  # hot
+    def _process_failures(self) -> None:
         policy = self.config.retry_policy
         for lane in self._lanes:
             download = lane.active
@@ -722,7 +722,7 @@ class Session:
                         if self._observer is not None:
                             self._emit(
                                 "skip",
-                                {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                                {
                                     "t": self.now,
                                     "medium": medium.value,
                                     "track_id": download.track_id,
@@ -762,7 +762,7 @@ class Session:
             if self._observer is not None:
                 self._emit(
                     "failure",
-                    {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                    {
                         "t": self.now,
                         "medium": medium.value,
                         "track_id": download.track_id,
@@ -777,7 +777,7 @@ class Session:
                 if retry_at is not None:
                     self._emit(
                         "retry",
-                        {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                        {
                             "t": self.now,
                             "medium": medium.value,
                             "chunk_index": index,
@@ -787,7 +787,7 @@ class Session:
                     )
             self.player.on_failure(medium, record, self.ctx)
 
-    def _complete(self, lane: _MediumLane, download: ActiveDownload) -> None:  # hot
+    def _complete(self, lane: _MediumLane, download: ActiveDownload) -> None:
         """Book one finished download (caller checked ``finished``)."""
         medium = lane.medium
         lane.active = None
@@ -819,7 +819,7 @@ class Session:
             )
         self.player.on_chunk_complete(record, self.ctx)
 
-    def _complete_downloads(self) -> None:  # hot
+    def _complete_downloads(self) -> None:
         for lane in self._lanes:
             download = lane.active
             if download is None or not download.finished:
@@ -872,7 +872,7 @@ class Session:
                     },
                 )
 
-    def _sample_buffers(self) -> None:  # hot
+    def _sample_buffers(self) -> None:
         now = self.now
         pos = self.playback.position_s
         video_s = self._video.completed * self._chunk_s - pos
@@ -918,7 +918,7 @@ class Session:
     #: only a run with bit-identical kernel state is hopeless.
     MAX_STUCK_EVENTS = 64
 
-    def run(self) -> SessionResult:  # hot
+    def run(self) -> SessionResult:
         config = self.config
         content = self.content
         playback = self.playback
@@ -1007,7 +1007,7 @@ class Session:
                 # need none of the scheduling machinery above. Each
                 # pass consumes one unit of the event budget and emits
                 # exactly the stream the plain loop would.
-                while True:  # hot: pure
+                while True:
                     events_left -= 1
                     vdl = video.active
                     adl = audio.active
@@ -1145,7 +1145,7 @@ class Session:
                             if observer is not None:
                                 self._emit(
                                     "download_progress",
-                                    {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                                    {
                                         "t0": now,
                                         "t1": horizon,
                                         "medium": "video",
@@ -1164,7 +1164,7 @@ class Session:
                             if observer is not None:
                                 self._emit(
                                     "download_progress",
-                                    {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                                    {
                                         "t0": now,
                                         "t1": horizon,
                                         "medium": "audio",
@@ -1245,7 +1245,7 @@ class Session:
                         if observer is not None:
                             self._emit(
                                 "buffer_sample",
-                                {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                                {
                                     "t": now,
                                     "video_s": video_s,
                                     "audio_s": audio_s,
@@ -1306,7 +1306,7 @@ class Session:
                     if observer is not None:
                         self._emit(
                             "buffer_sample",
-                            {  # lint: allow[HOT-ALLOC-IN-LOOP] observer-only payload
+                            {
                                 "t": now,
                                 "video_s": video_s,
                                 "audio_s": audio_s,

@@ -15,10 +15,8 @@ so two jobs agree on their key exactly when they would replay the
 identical storm.
 
 Like :class:`~repro.runner.jobs.SimulationJob`, the cohort key layout
-is part of the keyed-spec compatibility surface pinned in
-``surfaces/spec_keys.json`` and guarded by ``SURF-KEY-CHURN``; layout
-changes go through ``repro-abr lint --update-surfaces`` (plus a
-:data:`COHORT_SPEC_SCHEMA_VERSION` bump when semantic).
+is pinned by ``tests/test_runner.py`` (``TestKeyContract``); a semantic
+change also bumps :data:`COHORT_SPEC_SCHEMA_VERSION`.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ combined without ambiguity:
   kilobytes and megabits where external interfaces (e.g. Shaka's 16 KB
   sample filter) are specified in other units
 
+Identifiers name their unit with a suffix (``buffer_s``,
+``ladder_kbps``, ``size_bits``, ``length_bytes``), so a mix shows at the
+call site and a conversion goes through the helpers below.
+
 Sizes are floats rather than ints because they are produced by
 integrating piecewise-constant bandwidth over time; rounding is applied
 only at presentation boundaries.
@@ -70,48 +74,3 @@ def bitrate_of(bits: float, duration_s: float) -> float:
         raise ValueError(f"duration must be positive, got {duration_s}")
     return bps_to_kbps(bits / duration_s)
 
-
-# -- dimension vocabulary ---------------------------------------------------
-#
-# The units lint (repro.analysis.code_rules, UNIT-* rules) infers a
-# dimension for every identifier from these tables, so the naming
-# convention and the converter signatures live next to the converters
-# they describe. Dimension names are "<quantity>-<unit>"; two
-# dimensions are compatible only when they are identical — mixing
-# time-s with time-ms is as much a bug as mixing time with size.
-
-#: Identifier suffix -> dimension (matched case-insensitively, longest
-#: suffix first, so ``ladder_kbps`` is rate-kbps, not rate-bps).
-DIMENSION_SUFFIXES = {
-    "_s": "time-s",
-    "_ms": "time-ms",
-    "_kbps": "rate-kbps",
-    "_bps": "rate-bps",
-    "_bits": "size-bits",
-    "_bytes": "size-bytes",
-    "_kilobytes": "size-kilobytes",
-}
-
-#: Bare identifiers that carry a dimension without a suffix — the
-#: parameter names of the converters above.
-DIMENSION_NAMES = {
-    "kbps": "rate-kbps",
-    "bps": "rate-bps",
-    "bits": "size-bits",
-    "nbytes": "size-bytes",
-    "kilobytes": "size-kilobytes",
-}
-
-#: Converter signatures: function name -> (positional parameter
-#: dimensions, return dimension). The lint checks call sites against
-#: these and propagates the return dimension through assignments.
-CONVERTER_SIGNATURES = {
-    "kbps_to_bps": (("rate-kbps",), "rate-bps"),
-    "bps_to_kbps": (("rate-bps",), "rate-kbps"),
-    "bits_to_bytes": (("size-bits",), "size-bytes"),
-    "bytes_to_bits": (("size-bytes",), "size-bits"),
-    "bits_to_kilobytes": (("size-bits",), "size-kilobytes"),
-    "kilobytes_to_bits": (("size-kilobytes",), "size-bits"),
-    "chunk_bits": (("rate-kbps", "time-s"), "size-bits"),
-    "bitrate_of": (("size-bits", "time-s"), "rate-kbps"),
-}

@@ -79,11 +79,11 @@ class TestAbandonmentBehaviour:
             assert ladder_rank[final_track] < ladder_rank[abort.track_id]
 
 
-class _AbortLoopPlayer(BasePlayer):  # lint: allow[POLICY-MISSING-FAILURE-HOOK]
+class _AbortLoopPlayer(BasePlayer):
     """Pathological player: aborts everything, re-requests the same track."""
 
     def choose_next(self, medium, ctx):
-        return Download(track_id="V1" if medium is V else "A1")  # lint: allow[POLICY-DECISION-TYPE]
+        return Download(track_id="V1" if medium is V else "A1")
 
     def consider_abort(self, medium, download, ctx):
         return download.bits_done > 0

@@ -1,11 +1,11 @@
-"""Whole-program code rules: UNIT-* / POOL-* families, the unified
-suppression grammar, and the mutation-fixture corpus.
+"""Code rules: the POOL-* pickle/fork-safety family, the unified
+suppression grammar, stale-waiver hygiene (LINT-UNUSED-SUPPRESS and its
+autofix), and the mutation-fixture corpus.
 
-Every new rule is proven twice: a ``*_bad.py`` fixture under
-``tests/fixtures/lint/`` seeds exactly the bug the rule exists for (and
-must fire *only* that rule), and its ``*_clean.py`` twin encodes the
-idiomatic repair (and must produce zero findings under the full code
-rule set).
+A ``*_bad.py`` fixture under ``tests/fixtures/lint/`` seeds exactly the
+bug its rule exists for (and must fire *only* that rule), and its
+``*_clean.py`` twin encodes the idiomatic repair (and must produce zero
+findings under the full code rule set).
 """
 
 from pathlib import Path
@@ -15,19 +15,17 @@ import pytest
 from repro.analysis import (
     REGISTRY,
     AnalyzerConfig,
-    Severity,
     analyze_files,
     analyze_text,
     fix_files,
 )
-from repro.analysis.findings import SARIF_LEVELS
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 
 
 def rule_id_of(fixture: Path) -> str:
-    """unit_mix_arith_bad.py -> UNIT-MIX-ARITH."""
+    """pool_fork_unsafe_bad.py -> POOL-FORK-UNSAFE."""
     stem = fixture.stem
     for suffix in ("_bad", "_clean"):
         if stem.endswith(suffix):
@@ -35,25 +33,8 @@ def rule_id_of(fixture: Path) -> str:
     return stem.upper().replace("_", "-")
 
 
-def surfaces_dir_for(path: Path):
-    """Sidecar snapshot dir for snapshot-dependent SURF fixtures.
-
-    ``surf_key_churn_bad.py`` compares against
-    ``fixtures/lint/surfaces/surf_key_churn/``; fixtures without a
-    sidecar lint with no snapshots configured (the SURF comparisons
-    then stay silent, which keeps unrelated fixtures inert).
-    """
-    stem = path.stem
-    for suffix in ("_bad", "_clean"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-    sidecar = FIXTURES / "surfaces" / stem
-    return str(sidecar) if sidecar.is_dir() else None
-
-
 def lint(path: Path):
-    config = AnalyzerConfig(surfaces_dir=surfaces_dir_for(path))
-    return analyze_text(path.name, path.read_text(), config)
+    return analyze_text(path.name, path.read_text())
 
 
 BAD_FIXTURES = sorted(FIXTURES.glob("*_bad.py"))
@@ -62,21 +43,19 @@ CLEAN_FIXTURES = sorted(FIXTURES.glob("*_clean.py"))
 
 class TestFixtureCorpus:
     def test_corpus_is_paired(self):
-        assert len(BAD_FIXTURES) == len(CLEAN_FIXTURES) == 29
+        assert len(BAD_FIXTURES) == len(CLEAN_FIXTURES) == 5
         assert [rule_id_of(p) for p in BAD_FIXTURES] == [
             rule_id_of(p) for p in CLEAN_FIXTURES
         ]
 
     def test_every_new_rule_has_a_fixture_pair(self):
         covered = {rule_id_of(p) for p in BAD_FIXTURES}
-        new_rules = {
+        code_rules = {
             r.rule_id
             for r in REGISTRY
-            if r.rule_id.startswith(
-                ("UNIT-", "POOL-", "LINT-", "SHARE-", "HOT-", "SURF-", "POLICY-")
-            )
+            if r.rule_id.startswith(("POOL-", "LINT-"))
         }
-        assert covered == new_rules
+        assert covered == code_rules
 
     @pytest.mark.parametrize("fixture", BAD_FIXTURES, ids=lambda p: p.stem)
     def test_bad_fixture_fires_exactly_its_rule(self, fixture):
@@ -97,9 +76,8 @@ class TestSuppressionGrammar:
 
     def test_star_allow_suppresses_everything(self):
         text = (
-            "import random\n"
-            "delay_ms = 4.0\n"
-            "x = random.random() + delay_ms  # lint: allow[*]\n"
+            "import random, time\n"
+            "x = random.random() + time.time()  # lint: allow[*]\n"
         )
         assert analyze_text("m.py", text) == []
 
@@ -107,11 +85,9 @@ class TestSuppressionGrammar:
         # Both rules genuinely fire on the line, so both tokens are
         # used and neither draws LINT-UNUSED-SUPPRESS.
         text = (
-            "import random\n"
-            "delay_ms = 4.0\n"
-            "dur_s = 2.0\n"
-            "x = random.random() if dur_s > delay_ms else 0.0"
-            "  # lint: allow[DET-UNSEEDED-RANDOM, UNIT-MIX-COMPARE]\n"
+            "import random, time\n"
+            "x = random.random() + time.time()"
+            "  # lint: allow[DET-UNSEEDED-RANDOM, DET-WALLCLOCK]\n"
         )
         assert analyze_text("m.py", text) == []
 
@@ -124,148 +100,19 @@ class TestSuppressionGrammar:
         assert "LINT-UNUSED-SUPPRESS" in rules
 
     def test_legacy_det_allow_is_inert(self):
-        # The PR-5 deprecation window closed: the old grammar no longer
-        # suppresses anything, it only draws the migration note.
+        # The retired ``# det: allow`` grammar suppresses nothing.
         text = self.BUG.format(comment="  # det: allow")
         rules = [f.rule for f in analyze_text("m.py", text)]
-        assert "DET-UNSEEDED-RANDOM" in rules
-        assert "LINT-DEPRECATED-SUPPRESS" in rules
-
-    def test_legacy_det_allow_does_not_cover_unit_rules(self):
-        text = (
-            "buffer_s = 1.0\n"
-            "delay_ms = 4.0\n"
-            "x = buffer_s + delay_ms  # det: allow\n"
-        )
-        rules = {f.rule for f in analyze_text("m.py", text)}
-        assert "UNIT-MIX-ARITH" in rules
-        assert "LINT-DEPRECATED-SUPPRESS" in rules
+        assert rules == ["DET-UNSEEDED-RANDOM"]
 
     def test_docstring_mention_neither_fires_nor_suppresses(self):
         text = (
-            '"""Docs may say # det: allow or # lint: allow[*] freely."""\n'
+            '"""Docs may say # lint: allow[*] freely."""\n'
             "import random\n"
             "x = random.random()\n"
         )
         rules = [f.rule for f in analyze_text("m.py", text)]
         assert rules == ["DET-UNSEEDED-RANDOM"]
-
-    def test_deprecation_note_severity_maps_to_sarif_note(self):
-        text = self.BUG.format(comment="  # det: allow")
-        (finding,) = [
-            f
-            for f in analyze_text("m.py", text)
-            if f.rule == "LINT-DEPRECATED-SUPPRESS"
-        ]
-        assert finding.severity is Severity.INFO
-        assert SARIF_LEVELS[finding.severity] == "note"
-
-    def test_deprecation_note_itself_can_be_waived(self):
-        # The DET rule needs its own token now that the legacy
-        # grammar is inert.
-        text = self.BUG.format(
-            comment="  # det: allow  "
-            "# lint: allow[LINT-DEPRECATED-SUPPRESS, DET-UNSEEDED-RANDOM]"
-        )
-        assert analyze_text("m.py", text) == []
-
-
-class TestDimensionFlow:
-    def test_propagates_through_unsuffixed_locals(self):
-        text = (
-            "from repro.units import chunk_bits\n"
-            "def f(rate_kbps, dur_s, delay_s):\n"
-            "    budget = chunk_bits(rate_kbps, dur_s)\n"
-            "    return budget + delay_s\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-MIX-ARITH"
-        ]
-
-    def test_converter_alias_import_is_tracked(self):
-        text = (
-            "from repro.units import kbps_to_bps as to_bps\n"
-            "def f(rate_kbps, cap_kbps):\n"
-            "    rate = to_bps(rate_kbps)\n"
-            "    return rate > cap_kbps\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-MIX-COMPARE"
-        ]
-
-    def test_repurposed_local_is_demoted_to_ambiguous(self):
-        text = (
-            "from repro.units import kbps_to_bps, bytes_to_bits\n"
-            "def f(rate_kbps, size_bytes, cap_kbps):\n"
-            "    x = kbps_to_bps(rate_kbps)\n"
-            "    x = bytes_to_bits(size_bytes)\n"
-            "    return x > cap_kbps\n"
-        )
-        assert analyze_text("m.py", text) == []
-
-    def test_mult_and_div_yield_unknown(self):
-        text = (
-            "def f(duration_ms, buffer_s):\n"
-            "    return buffer_s + duration_ms / 1000.0\n"
-        )
-        assert analyze_text("m.py", text) == []
-
-    def test_aggregating_builtin_preserves_agreeing_dim(self):
-        text = (
-            "def f(deadline_s, budget_s, horizon_ms):\n"
-            "    return min(deadline_s, budget_s) + horizon_ms\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-MIX-ARITH"
-        ]
-
-    def test_keyword_argument_checked_by_name(self):
-        text = (
-            "def send(timeout_s=1.0):\n"
-            "    return timeout_s\n"
-            "def f(grace_ms):\n"
-            "    return send(timeout_s=grace_ms)\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-ARG-MISMATCH"
-        ]
-
-    def test_same_module_positional_params_checked(self):
-        text = (
-            "def wait(delay_s):\n"
-            "    return delay_s\n"
-            "def f(poll_ms):\n"
-            "    return wait(poll_ms)\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-ARG-MISMATCH"
-        ]
-
-    def test_case_insensitive_constants(self):
-        text = (
-            "_POLL_TICK_S = 0.1\n"
-            "def f(interval_ms):\n"
-            "    return interval_ms > _POLL_TICK_S\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-MIX-COMPARE"
-        ]
-
-    def test_longest_suffix_wins(self):
-        text = (
-            "def f(bandwidth_kbps, ladder_kbps):\n"
-            "    return bandwidth_kbps + ladder_kbps\n"
-        )
-        assert analyze_text("m.py", text) == []
-
-    def test_subscript_carries_sequence_dim(self):
-        text = (
-            "def f(chunk_sizes_bits, budget_bytes):\n"
-            "    return chunk_sizes_bits[0] > budget_bytes\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "UNIT-MIX-COMPARE"
-        ]
 
 
 class TestPoolRules:
@@ -346,15 +193,16 @@ class TestPoolRules:
 
 class TestEngineIntegration:
     def test_config_select_restricts_families(self):
-        bad = (FIXTURES / "unit_mix_arith_bad.py").read_text()
-        config = AnalyzerConfig(selected=frozenset({"POOL-FORK-UNSAFE"}))
+        bad = "import random\nx = random.random()\n"
+        config = AnalyzerConfig(selected=frozenset({"DET-WALLCLOCK"}))
         assert analyze_files({"m.py": bad}, config) == []
 
     def test_only_unused_suppress_is_fixable_among_python_rules(self):
         # The autofix layer repairs manifest rules plus exactly one
         # python-side rule: LINT-UNUSED-SUPPRESS (stale-token removal).
-        # Every other code-rule fixture must pass through untouched.
+        # Every other code-rule finding must pass through untouched.
         files = {p.name: p.read_text() for p in BAD_FIXTURES}
+        files["det.py"] = "import random\nx = random.random()\n"
         result = fix_files(files)
         changed = {
             name for name in files if result.files[name] != files[name]
@@ -369,8 +217,7 @@ class TestEngineIntegration:
 
     def test_src_repro_lints_clean_under_full_code_rule_set(self):
         # The dogfooding pin: the whole tree stays clean under every
-        # UNIT/POOL/DET rule (suppressions carry written justifications
-        # at the call sites).
+        # code rule, with no stale waivers.
         files = {
             str(p.relative_to(SRC_REPRO.parent)): p.read_text()
             for p in sorted(SRC_REPRO.rglob("*.py"))
@@ -419,7 +266,6 @@ class TestWaiverAudit:
             ("repro/runner/engine.py", "POOL-GLOBAL-MUTABLE"): 2,
             ("repro/runner/jobs.py", "POOL-GLOBAL-MUTABLE"): 1,
             ("repro/sim/decisions.py", "POOL-GLOBAL-MUTABLE"): 1,
-            ("repro/sim/session.py", "HOT-ALLOC-IN-LOOP"): 9,
         }
 
     def test_every_waiver_is_load_bearing(self):
@@ -446,3 +292,42 @@ class TestWaiverAudit:
                 }
                 for token in tokens:
                     assert token in fired, (name, line_no, token)
+
+
+class TestUnusedSuppressFix:
+    def test_single_stale_token_comment_line_removed(self):
+        files = {"m.py": "X_S = 1.0  # lint: allow[DET-WALLCLOCK]\n"}
+        result = fix_files(files)
+        assert result.files["m.py"] == "X_S = 1.0\n"
+        assert [f.rule for f in result.fixed] == ["LINT-UNUSED-SUPPRESS"]
+
+    def test_stale_token_removed_from_live_list(self):
+        files = {
+            "m.py": (
+                "import random\n"
+                "x = random.random()"
+                "  # lint: allow[DET-UNSEEDED-RANDOM, DET-WALLCLOCK]\n"
+            )
+        }
+        result = fix_files(files)
+        assert result.files["m.py"] == (
+            "import random\n"
+            "x = random.random()  # lint: allow[DET-UNSEEDED-RANDOM]\n"
+        )
+
+    def test_prose_after_grammar_survives(self):
+        files = {
+            "m.py": (
+                "X_S = 1.0  # lint: allow[DET-WALLCLOCK]"
+                " keeps the ladder honest\n"
+            )
+        }
+        result = fix_files(files)
+        assert result.files["m.py"] == "X_S = 1.0  # keeps the ladder honest\n"
+
+    def test_fix_is_idempotent(self):
+        files = {"m.py": "X_S = 1.0  # lint: allow[DET-WALLCLOCK]\n"}
+        once = fix_files(files)
+        twice = fix_files(dict(once.files))
+        assert twice.files == once.files
+        assert twice.fixed == []

@@ -47,8 +47,7 @@ class TestUnseededRandom:
         findings = lint_py(
             "import random\nx = random.random()  # det: allow\n"
         )
-        assert "DET-UNSEEDED-RANDOM" in rules(findings)
-        assert "LINT-DEPRECATED-SUPPRESS" in rules(findings)
+        assert [f.rule for f in findings] == ["DET-UNSEEDED-RANDOM"]
 
 
 class TestWallclock:

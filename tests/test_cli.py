@@ -1,6 +1,13 @@
 """Command-line interface."""
 
+import argparse
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 
@@ -69,15 +76,15 @@ class TestManifest:
 
 class TestLint:
     def test_hall_warns(self, capsys):
-        assert main(["lint", "--format", "hls"]) == 0
+        assert main(["lint", "--manifest", "hls"]) == 0
         assert "HLS-CURATED" in capsys.readouterr().out
 
     def test_curated_byteranges_clean(self, capsys):
-        assert main(["lint", "--format", "hls", "--curated"]) == 0
+        assert main(["lint", "--manifest", "hls", "--curated"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_blind_packaging_errors(self, capsys):
-        assert main(["lint", "--format", "hls", "--curated", "--chunk-files"]) == 1
+        assert main(["lint", "--manifest", "hls", "--curated", "--chunk-files"]) == 1
         assert "HLS-TRACK-BITRATES" in capsys.readouterr().out
 
     def test_chunk_files_with_tags_clean(self, capsys):
@@ -85,7 +92,7 @@ class TestLint:
             main(
                 [
                     "lint",
-                    "--format",
+                    "--manifest",
                     "hls",
                     "--curated",
                     "--chunk-files",
@@ -97,11 +104,11 @@ class TestLint:
         assert "clean" in capsys.readouterr().out
 
     def test_dash_warns_without_extension(self, capsys):
-        assert main(["lint", "--format", "dash"]) == 0
+        assert main(["lint", "--manifest", "dash"]) == 0
         assert "DASH-COMBINATIONS" in capsys.readouterr().out
 
     def test_dash_clean_with_extension(self, capsys):
-        assert main(["lint", "--format", "dash", "--curated"]) == 0
+        assert main(["lint", "--manifest", "dash", "--curated"]) == 0
         assert "clean" in capsys.readouterr().out
 
 
@@ -289,3 +296,72 @@ class TestParser:
     def test_bad_player_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--player", "vlc"])
+
+
+class TestGrammar:
+    #: Option strings of every subcommand. Scripts and CI call these, so
+    #: a rename or removal is a deliberate edit of this table.
+    OPTIONS = {
+        "list": [],
+        "run": [
+            "--all", "--cache", "--cache-dir", "--chaos", "--chaos-log",
+            "--job-retries", "--job-timeout", "--jobs", "--no-cache",
+            "--plot", "--record",
+        ],
+        "simulate": [
+            "--bandwidth", "--combinations", "--failure-p", "--failure-seed",
+            "--live-offset", "--max-attempts", "--player", "--record",
+            "--request-timeout", "--resume-p", "--retry-base-delay",
+            "--retry-budget",
+        ],
+        "cohort": [
+            "--burst", "--cache-chunks", "--capacity", "--edges",
+            "--failover-budget", "--fault-log", "--faults", "--no-summaries",
+            "--seed", "--sessions",
+        ],
+        "replay": ["--strict", "--verify"],
+        "diff-events": ["--atol", "--canonical", "--context", "--rtol"],
+        "manifest": ["--combinations", "--format", "--self-lint"],
+        "lint": [
+            "--baseline", "--bitrate-tags", "--chunk-files", "--curated",
+            "--disable", "--fix", "--format", "--manifest", "--select",
+            "--write-baseline",
+        ],
+        "report": [
+            "--cache", "--cache-dir", "--chaos", "--chaos-log",
+            "--job-retries", "--job-timeout", "--jobs", "--no-cache",
+            "--no-charts", "--output", "--record",
+        ],
+        "trace": [
+            "--duration", "--format", "--input", "--input-format", "--mean",
+            "--output", "--preset", "--seed", "--unit",
+        ],
+        "compare": ["--bandwidth", "--combinations"],
+    }
+
+    def test_option_strings_are_pinned(self):
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert {
+            name: sorted(
+                option
+                for action in parser._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help")
+            )
+            for name, parser in sub.choices.items()
+        } == self.OPTIONS
+
+    def test_import_leaves_the_analyzer_unloaded(self):
+        # simulate/run/cohort must not pay for importing the linter.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, repro.cli; print('repro.analysis' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -161,22 +161,3 @@ class TestGeneratedPackagingMode:
         log = json.loads(capsys.readouterr().out)
         assert log["runs"][0]["results"] == []
 
-
-class TestJobs:
-    def test_jobs_output_matches_serial(self, tmp_path, capsys):
-        for i in range(4):
-            (tmp_path / f"mod{i}.py").write_text(
-                "import random\nx = random.random()\n"
-            )
-        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
-        serial = capsys.readouterr().out
-        code = main(["lint", str(tmp_path), "--format", "json", "--jobs", "3"])
-        parallel = capsys.readouterr().out
-        assert code == 1
-        assert parallel == serial
-
-    def test_jobs_parse_failure_still_exits_two(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("pass\n")
-        (tmp_path / "bad.py").write_text("def broken(:\n")
-        assert main(["lint", str(tmp_path), "--jobs", "2"]) == 2
-        assert "parse failure" in capsys.readouterr().err

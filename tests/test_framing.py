@@ -8,6 +8,7 @@ from repro.framing import (
     CORRUPT,
     ENTRY_HEADER_SIZE,
     ENTRY_MAGIC,
+    LINE_MAGIC,
     OK,
     TRUNCATED,
     append_line,
@@ -16,6 +17,7 @@ from repro.framing import (
     scan_line_file,
     scan_lines,
     unframe_payload,
+    _ENTRY_HEADER,
 )
 
 
@@ -53,8 +55,10 @@ class TestEntryFraming:
         assert unframe_payload(data) == (None, CORRUPT)
 
     def test_magic_unchanged(self):
-        # Existing on-disk caches must stay readable.
+        # Existing on-disk caches and event logs must stay readable.
         assert ENTRY_MAGIC == b"RPRC1"
+        assert LINE_MAGIC == b"REV1"
+        assert _ENTRY_HEADER.format == ">QI"
 
 
 class TestLineFraming:

@@ -14,6 +14,8 @@ from repro.qoe.rescore import rescore_log
 from repro.replay import (
     EVENT_SCHEMA_BASE_VERSION,
     EVENT_SCHEMA_VERSION,
+    TOPOLOGY_META_FIELDS,
+    EventKind,
     EventRecorder,
     ReplayError,
     record_path,
@@ -148,6 +150,18 @@ class TestTornLogs:
 
 
 class TestSchema:
+    def test_event_surface_is_pinned(self):
+        # Readers of existing logs depend on these; change them only
+        # together with a schema-version decision.
+        assert sorted(kind.value for kind in EventKind) == [
+            "buffer_sample", "decision", "download_abort",
+            "download_complete", "download_progress", "download_start",
+            "estimate", "failure", "playback_start", "retry",
+            "session_meta", "skip", "stall_begin", "stall_end", "verdict",
+        ]
+        assert TOPOLOGY_META_FIELDS == ("edge_id", "edges", "failover_hops")
+        assert (EVENT_SCHEMA_BASE_VERSION, EVENT_SCHEMA_VERSION) == (1, 2)
+
     def test_header_carries_schema_and_content(self, content, tmp_path):
         _, path = record_run(content, tmp_path)
         meta = scan_events(path).events[0]

@@ -6,6 +6,7 @@ grid runs serially, on a process pool, or from the on-disk cache, and
 cache invalidation whenever any outcome-affecting spec field changes.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -184,6 +185,29 @@ class TestKeyContract:
         assert meta["key"] == job.key()
         assert meta["label"] == job.label()
         assert meta["job"] == json.loads(json.dumps(job.spec_dict()))
+
+    def test_spec_dict_keys_every_field(self):
+        # A field left out of spec_dict() makes two different jobs share
+        # one cache key. Nested specs are checked the same way.
+        from repro.topology import CohortJob
+
+        def field_names(obj):
+            return {f.name for f in dataclasses.fields(obj)}
+
+        for root in (GOLDEN_KEYS[1][0], CohortJob()):
+            spec = root.spec_dict()
+            assert set(spec) - {"schema", "kind"} == field_names(root)
+            for name, value in spec.items():
+                sub = getattr(root, name, None)
+                if dataclasses.is_dataclass(sub):
+                    assert set(value) == field_names(sub), name
+
+    def test_cohort_key_bytes_are_pinned(self):
+        from repro.topology import CohortJob
+
+        assert CohortJob().key() == (
+            "4cc4c038fa27265efcb0b36fa01882f3b443bcb92644a48027cecedbacc15d5a"
+        )
 
 
 class TestEngineDeterminism:

@@ -1,5 +1,6 @@
 """End-to-end session mechanics with a deterministic fixed player."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from repro.net.link import SeparatePaths, shared
 from repro.net.traces import constant, from_pairs
 from repro.players.base import BasePlayer
 from repro.players.fixed import FixedTracksPlayer
-from repro.sim.decisions import Download
+from repro.sim.decisions import Download, download_for
 from repro.sim.session import Session, SessionConfig, simulate
 
 V = MediaType.VIDEO
@@ -230,14 +231,23 @@ class TestBufferCaps:
             assert sample.audio_level_s >= -1e-9
 
 
-class _WrongMediumPlayer(BasePlayer):  # lint: allow[POLICY-MISSING-FAILURE-HOOK]
-    def choose_next(self, medium, ctx):
-        return Download(track_id="A1" if medium is V else "V1")  # lint: allow[POLICY-DECISION-TYPE]
+class TestInternedDecisions:
+    def test_interned_decision_is_shared_and_frozen(self):
+        # Every player asking for V1 holds this one object.
+        decision = download_for("V1")
+        assert download_for("V1") is decision
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.track_id = "A1"
 
 
-class _GarbagePlayer(BasePlayer):  # lint: allow[POLICY-MISSING-FAILURE-HOOK]
+class _WrongMediumPlayer(BasePlayer):
     def choose_next(self, medium, ctx):
-        return "download please"  # lint: allow[POLICY-DECISION-TYPE]
+        return Download(track_id="A1" if medium is V else "V1")
+
+
+class _GarbagePlayer(BasePlayer):
+    def choose_next(self, medium, ctx):
+        return "download please"
 
 
 class TestErrorHandling:

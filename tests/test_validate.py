@@ -214,8 +214,9 @@ class TestSeverity:
 
 
 class TestShimRetirement:
-    """The deprecated object-level wrappers are gone for good, but the
-    CLI spellings they popularized keep parsing for one more release."""
+    """The deprecated object-level wrappers are gone for good, and so
+    are the CLI spellings they popularized (``--manifest`` replaces
+    them)."""
 
     def test_validate_module_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
@@ -235,8 +236,9 @@ class TestShimRetirement:
             assert legacy not in manifest.__all__
 
     @pytest.mark.parametrize("alias", ["dash", "hls"])
-    def test_legacy_cli_format_aliases_still_parse(self, alias):
+    def test_legacy_cli_format_aliases_are_gone(self, alias, capsys):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["lint", "--format", alias])
-        assert args.format == alias
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint", "--format", alias])
+        assert "invalid choice" in capsys.readouterr().err
