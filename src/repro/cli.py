@@ -15,42 +15,16 @@ shape-level checks, so CI can gate on reproduction.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from .core.combinations import all_combinations, hsub_combinations
-from .core.player import RecommendedPlayer
 from .experiments import experiment_names, run_experiment
 from .manifest.dash import write_mpd
 from .manifest.packager import package_dash, package_hls
 from .media.content import drama_show
-from .net.link import shared
-from .net.traces import constant
-from .players.dashjs import DashJsPlayer
-from .players.exoplayer import ExoPlayerDash, ExoPlayerHls
-from .players.shaka import ShakaPlayer
 from .qoe.metrics import compute_qoe
-from .sim.session import simulate
-
-
-def _build_player(name: str, content, combinations: str):
-    combos = (
-        hsub_combinations(content)
-        if combinations == "hsub"
-        else all_combinations(content)
-    )
-    if name == "exoplayer-dash":
-        return ExoPlayerDash(package_dash(content))
-    if name == "exoplayer-hls":
-        return ExoPlayerHls(package_hls(content, combinations=combos).master)
-    if name == "shaka":
-        return ShakaPlayer.from_hls(package_hls(content, combinations=combos).master)
-    if name == "dashjs":
-        return DashJsPlayer(package_dash(content))
-    if name == "recommended":
-        return RecommendedPlayer(combos)
-    raise SystemExit(f"unknown player {name!r}")
+from .runner.jobs import PLAYER_NAMES, PlayerSpec, SimulationJob, TraceSpec
 
 
 def cmd_list(_args) -> int:
@@ -110,7 +84,7 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     from .net.resilience import RetryPolicy
     from .qoe.diagnosis import diagnose
-    from .runner.jobs import FailureSpec, PlayerSpec, SimulationJob, TraceSpec
+    from .runner.jobs import FailureSpec
 
     # Expressing the ad-hoc session as a SimulationJob means a recorded
     # log embeds the full job spec, so `replay --verify` can re-simulate
@@ -137,23 +111,10 @@ def cmd_simulate(args) -> int:
         retry_policy=retry_policy,
         live_offset_s=args.live_offset,
     )
-    observer = None
+    result = job.execute(log_path=args.record)
     if args.record:
-        from .replay import EventRecorder
-
-        key = job.key()
-        observer = EventRecorder(
-            args.record,
-            extra_meta={
-                "job": job.spec_dict(),
-                "key": key,
-                "label": job.label(key),
-            },
-        )
-    content, player, network, config = job.build(observer=observer)
-    result = simulate(content, player, network, config)
-    if observer is not None:
-        print(f"recorded {observer.events_written} events to {args.record}")
+        print(f"recorded to {args.record}")
+    content = job.content.build()
     summary = result.summary()
     qoe = compute_qoe(result, content)
     for key, value in summary.items():
@@ -192,18 +153,9 @@ def cmd_cohort(args) -> int:
         seed=args.seed,
         keep_summaries=not args.no_summaries,
     )
-    record_dir = None
-    if args.fault_log:
-        record_dir = os.path.dirname(os.path.abspath(args.fault_log)) or "."
-    result = job.execute(record_dir=record_dir)
     key = job.key()
+    result = job.execute(log_path=args.fault_log, key=key)
     if args.fault_log:
-        from .replay.recorder import record_path
-
-        written = record_path(record_dir, key)
-        target = os.path.abspath(args.fault_log)
-        if written != target:
-            os.replace(written, target)
         print(f"fault-domain event log: {args.fault_log}")
     print(f"cohort {job.label(key)}")
     print(f"fingerprint: {result.fingerprint()}")
@@ -381,7 +333,6 @@ def cmd_lint(args) -> int:
 def cmd_compare(args) -> int:
     """All players on one link, one table."""
     from .media.tracks import MediaType
-    from .qoe.metrics import compute_qoe
 
     content = drama_show()
     header = (
@@ -391,9 +342,11 @@ def cmd_compare(args) -> int:
     print(f"link: constant {args.bandwidth:.0f} kbps")
     print(header)
     print("-" * len(header))
-    for name in ("exoplayer-dash", "exoplayer-hls", "shaka", "dashjs", "recommended"):
-        player = _build_player(name, content, args.combinations)
-        result = simulate(content, player, shared(constant(args.bandwidth)))
+    for name in PLAYER_NAMES:
+        result = SimulationJob(
+            player=PlayerSpec(name, combinations=args.combinations),
+            trace=TraceSpec.constant(args.bandwidth),
+        ).execute()
         qoe = compute_qoe(result, content)
         print(
             f"{name:<16} "
@@ -479,8 +432,6 @@ def cmd_replay(args) -> int:
 
 def _verify_replay(path: str, replayed) -> int:
     """Re-simulate the log's embedded job; compare metrics exactly."""
-    from .runner.jobs import SimulationJob
-
     spec = replayed.job_spec
     if spec is None:
         print(
@@ -490,8 +441,8 @@ def _verify_replay(path: str, replayed) -> int:
         )
         return 2
     job = SimulationJob.from_spec(spec)
-    content, player, network, config = job.build()
-    live = simulate(content, player, network, config)
+    live = job.execute()
+    content = job.content.build()
     live_summary = live.summary()
     replay_summary = replayed.result.summary()
     live_qoe = compute_qoe(live, content).as_dict()

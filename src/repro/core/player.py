@@ -276,49 +276,10 @@ class RecommendedPlayer(BasePlayer):
 
         Every failure counts against the failing track's circuit; a 404
         counts double (the resource is *missing* — hammering it again is
-        strictly pointless, unlike a reset that may be transient). The
-        legacy downshift logic then runs, and if the breaker just
-        ejected the track this position had selected — and the pair is
-        not yet locked by the companion medium — the position is
-        re-pointed at the best still-allowed cheaper combination.
-        """
-        from .balancer import other_medium
+        strictly pointless, unlike a reset that may be transient).
 
-        weight = 2 if failure.kind == "http_404" else 1
-        if self._breaker.record_failure(failure.track_id, ctx.now, weight=weight):
-            self.circuit_trips += 1
-        self.on_download_failed(failure, ctx)
-        position = failure.chunk_index
-        current = self._selection_for_position.get(position)
-        if current is None:
-            return
-        open_keys = self._breaker.open_keys(ctx.now)
-        if (
-            current.video.track_id not in open_keys
-            and current.audio.track_id not in open_keys
-        ):
-            return
-        companion = other_medium(medium)
-        companion_inflight = ctx.in_flight(companion)
-        pair_locked = ctx.completed_chunks(companion) > position or (
-            companion_inflight is not None
-            and companion_inflight.chunk_index == position
-        )
-        if pair_locked:
-            return
-        rung = next(
-            (i for i, combo in enumerate(self.combinations) if combo is current),
-            0,
-        )
-        allowed = self._allowed_indices(ctx)
-        lower = [i for i in allowed if i < rung]
-        fallback = max(lower) if lower else min(allowed)
-        self._selection_for_position[position] = self.combinations[fallback]
-
-    def on_download_failed(self, record, ctx) -> None:
-        """React to a killed request: back off one rung for what follows.
-
-        The failed position itself is retried as selected — its pair is
+        Then the working point backs off one rung for what follows. The
+        failed position itself is retried as selected — its pair is
         normally already locked by the companion medium under balanced
         scheduling, and changing only one side would leave a combination
         outside the allowed set. Instead the *working point* steps down
@@ -328,13 +289,22 @@ class RecommendedPlayer(BasePlayer):
         same weather is how retry storms happen. If the companion has
         not touched the failed position yet, the position itself is
         downgraded too.
+
+        Finally, if the breaker just ejected the track this position
+        had selected — and the pair is not yet locked by the companion
+        medium — the position is re-pointed at the best still-allowed
+        cheaper combination.
         """
         from .balancer import other_medium
 
-        position = record.chunk_index
+        weight = 2 if failure.kind == "http_404" else 1
+        if self._breaker.record_failure(failure.track_id, ctx.now, weight=weight):
+            self.circuit_trips += 1
+        position = failure.chunk_index
         current = self._selection_for_position.get(position)
         if current is None:
             return
+        locked = self._pair_locked(other_medium(medium), position, ctx)
         rung = next(
             (i for i, combo in enumerate(self.combinations) if combo is current),
             0,
@@ -342,16 +312,31 @@ class RecommendedPlayer(BasePlayer):
         if rung > 0:
             self._current_index = min(self._current_index, rung - 1)
             self.failure_downshifts += 1
-            companion = other_medium(record.medium)
-            companion_inflight = ctx.in_flight(companion)
-            pair_locked = ctx.completed_chunks(companion) > position or (
-                companion_inflight is not None
-                and companion_inflight.chunk_index == position
-            )
-            if not pair_locked:
-                self._selection_for_position[position] = self.combinations[rung - 1]
+            if not locked:
+                rung -= 1
+                current = self.combinations[rung]
+                self._selection_for_position[position] = current
         self._pending_up = None
         self._pending_up_count = 0
+        open_keys = self._breaker.open_keys(ctx.now)
+        if locked or (
+            current.video.track_id not in open_keys
+            and current.audio.track_id not in open_keys
+        ):
+            return
+        allowed = self._allowed_indices(ctx)
+        lower = [i for i in allowed if i < rung]
+        fallback = max(lower) if lower else min(allowed)
+        self._selection_for_position[position] = self.combinations[fallback]
+
+    @staticmethod
+    def _pair_locked(companion: MediaType, position: int, ctx) -> bool:
+        """Has the companion medium already fetched or started ``position``?"""
+        companion_inflight = ctx.in_flight(companion)
+        return ctx.completed_chunks(companion) > position or (
+            companion_inflight is not None
+            and companion_inflight.chunk_index == position
+        )
 
     # -- abandonment -----------------------------------------------------------
 

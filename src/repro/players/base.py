@@ -59,15 +59,6 @@ class BasePlayer(abc.ABC):
     def on_chunk_complete(self, record: DownloadRecord, ctx) -> None:
         """Called when a download finishes (estimators update here)."""
 
-    def on_download_failed(self, record, ctx) -> None:
-        """Called when the network killed a request mid-transfer.
-
-        The slot is already free; ``choose_next`` will be asked again
-        for the same position. Players may react (e.g. drop a rung for
-        the retry); the default is to retry whatever ``choose_next``
-        picks next.
-        """
-
     def on_failure(self, medium: MediaType, failure, ctx) -> None:
         """Called for every classified request failure.
 
@@ -79,13 +70,10 @@ class BasePlayer(abc.ABC):
         hook is where the player decides *what* — e.g. eject the failing
         rung via a circuit breaker, downshift the retry, or fall back to
         the cheapest combination when ``ctx.retry_budget_remaining()``
-        nears exhaustion.
-
-        The default delegates to :meth:`on_download_failed`, so players
-        written against the legacy anonymous-failure hook behave
-        unchanged.
+        nears exhaustion. The medium's slot is already free, and
+        ``choose_next`` will be asked again for the same position; the
+        default is to retry whatever it picks next.
         """
-        self.on_download_failed(failure, ctx)
 
     def consider_abort(self, medium: MediaType, download, ctx) -> bool:
         """Should the in-flight ``download`` be abandoned?

@@ -115,19 +115,15 @@ def _execute(
     record_dir: Optional[str] = None,
     key: Optional[str] = None,
 ) -> Tuple[SessionResult, float]:
-    """Worker entry point: rebuild the cell from its spec and run it.
+    """Worker entry point: run one attempt of ``job`` and time it.
 
     Module-level (picklable) on purpose; the wall time measured here is
-    the simulation cost alone, excluding queueing and transport. When a
-    chaos schedule is active the injector runs first — it may kill this
+    the job's own cost, excluding queueing and transport. When a chaos
+    schedule is active the injector runs first — it may kill this
     process, sleep past the deadline, raise, or tear a cache entry.
-
-    With ``record_dir`` set, the session runs under an
-    :class:`~repro.replay.EventRecorder` writing
-    ``<record_dir>/<job key>.events.jsonl``. The recorder truncates on
-    open, so a retried attempt rewrites the log — one log is always one
-    attempt — and a chaos kill mid-run leaves a torn-but-replayable
-    prefix.
+    Every job type builds, runs and records itself through
+    ``execute(attempt, log_path, key)``; with ``record_dir`` set its
+    log goes to ``<record_dir>/<job key>.events.jsonl``.
 
     ``key`` is the job's :meth:`~SimulationJob.key`, computed once by
     :func:`run_jobs`, which passes it whenever ``chaos`` or
@@ -137,35 +133,13 @@ def _execute(
         from ..chaos.injector import inject
 
         inject(chaos, key, attempt, cache_root)
-    execute = getattr(job, "execute", None)
-    if execute is not None:
-        # Self-executing jobs (topology cohorts) own their whole run;
-        # the engine only times them and hands through the record dir.
-        started = time.perf_counter()
-        result = execute(attempt=attempt, record_dir=record_dir)
-        return result, time.perf_counter() - started
-    from ..sim.session import simulate
-
-    observer = None
+    log_path = None
     if record_dir is not None:
-        from ..replay.recorder import EventRecorder, record_path
+        from ..replay.recorder import record_path
 
-        observer = EventRecorder(
-            record_path(record_dir, key),
-            extra_meta={
-                "job": job.spec_dict(),
-                "key": key,
-                "label": job.label(key),
-                "attempt": attempt,
-            },
-        )
+        log_path = record_path(record_dir, key)
     started = time.perf_counter()
-    try:
-        content, player, network, config = job.build(observer=observer)
-        result = simulate(content, player, network, config)
-    finally:
-        if observer is not None:
-            observer.close()  # idempotent: the session closes it on success
+    result = job.execute(attempt, log_path, key)
     return result, time.perf_counter() - started
 
 
@@ -654,27 +628,14 @@ class GridRunner:
     rather than letting a damaged row into a report.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        job_timeout_s: Optional[float] = None,
-        job_retries: Optional[int] = None,
-        chaos: Optional[object] = None,
-        record_dir: Optional[str] = None,
-    ):
+    def __init__(self):
         options = get_runner_options()
-        self.workers = options.workers if workers is None else max(1, workers)
-        directory = options.cache_dir if cache_dir is None else cache_dir
-        self.cache = ResultCache(directory) if directory else None
-        self.job_timeout_s = (
-            options.job_timeout_s if job_timeout_s is None else job_timeout_s
-        )
-        self.job_retries = (
-            options.job_retries if job_retries is None else max(0, job_retries)
-        )
-        self.chaos = options.chaos if chaos is None else chaos
-        self.record_dir = options.record_dir if record_dir is None else record_dir
+        self.workers = options.workers
+        self.cache = ResultCache(options.cache_dir) if options.cache_dir else None
+        self.job_timeout_s = options.job_timeout_s
+        self.job_retries = options.job_retries
+        self.chaos = options.chaos
+        self.record_dir = options.record_dir
         self.stats = EngineStats()
         self._simulated = 0
         self._sim_wall_s = 0.0

@@ -1,7 +1,6 @@
 """Playback simulation: event engine, buffers, session driver."""
 
 from .cohort import (
-    CohortConfig,
     CohortKernel,
     CohortResult,
     CohortSessionSummary,
@@ -32,7 +31,6 @@ __all__ = [
     "AbortRecord",
     "ActiveDownload",
     "BufferSample",
-    "CohortConfig",
     "CohortKernel",
     "CohortResult",
     "CohortSessionSummary",

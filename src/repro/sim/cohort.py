@@ -48,18 +48,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..media.tracks import MediaType
-from ..net.resilience import (
-    EndpointHealth,
-    FailoverPolicy,
-    FailureKind,
-    RetryPolicy,
-)
+from ..net.resilience import EndpointHealth, FailureKind
+from ..players.estimators import HarmonicMeanEstimator
 from ..topology.cache import EdgeCache
 from ..topology.faults import (
     ORIGIN_DOMAIN,
@@ -77,45 +72,17 @@ _V_EPS = 1e-6
 _EVENTS_PER_CHUNK_CAP = 400
 
 
-@dataclass
-class CohortConfig:
-    """Knobs of one cohort run (player policy + failure machinery)."""
-
-    n_sessions: int = 100
-    #: Flash-crowd window: session ``i`` arrives at ``i * burst/n``.
-    arrival_burst_s: float = 30.0
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    failover: FailoverPolicy = field(default_factory=FailoverPolicy)
-    seed: int = 0
-    safety_factor: float = 0.85
-    up_buffer_s: float = 10.0
-    down_buffer_s: float = 15.0
-    buffer_target_s: float = 20.0
-    estimator_window: int = 5
-    max_sim_time_s: float = 3600.0
-    keep_summaries: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_sessions < 1:
-            raise SimulationError(
-                f"cohort needs at least one session, got {self.n_sessions}"
-            )
-        if self.arrival_burst_s < 0:
-            raise SimulationError(
-                f"arrival burst must be >= 0, got {self.arrival_burst_s}"
-            )
-        if not 0 < self.safety_factor <= 1:
-            raise SimulationError(
-                f"safety factor must be in (0,1], got {self.safety_factor}"
-            )
-        if self.estimator_window < 1:
-            raise SimulationError(
-                f"estimator window must be >= 1, got {self.estimator_window}"
-            )
-        if self.max_sim_time_s <= 0:
-            raise SimulationError(
-                f"max sim time must be positive, got {self.max_sim_time_s}"
-            )
+# The compact recommended-style policy every cohort session runs.
+#: Fraction of the throughput estimate a combination may spend.
+SAFETY_FACTOR = 0.85
+#: Up-switch only with at least this much of both buffers (s).
+UP_BUFFER_S = 10.0
+#: Down-switch only below this much of both buffers (s).
+DOWN_BUFFER_S = 15.0
+#: Pacing: above this buffer level (s), idle until it drains.
+BUFFER_TARGET_S = 20.0
+#: Harmonic-mean estimator window (chunk samples).
+ESTIMATOR_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -284,7 +251,7 @@ class _Session:
         "video_switches",
         "audio_switches",
         "combo_index",
-        "samples",
+        "estimator",
         "retries_spent",
         "retries",
         "failovers_at_end",
@@ -301,8 +268,7 @@ class _Session:
         "emergency",
     )
 
-    def __init__(self, sid: int, arrival_s: float, health: EndpointHealth,
-                 window: int):
+    def __init__(self, sid: int, arrival_s: float, health: EndpointHealth):
         self.sid = sid
         self.arrival_s = arrival_s
         self.health = health
@@ -323,7 +289,7 @@ class _Session:
         self.video_switches = 0
         self.audio_switches = 0
         self.combo_index = 0
-        self.samples: deque = deque(maxlen=window)
+        self.estimator = HarmonicMeanEstimator(ESTIMATOR_WINDOW)
         self.retries_spent = 0
         self.retries = 0
         self.failovers_at_end = 0
@@ -339,30 +305,29 @@ class _Session:
         self.end_s = arrival_s
         self.emergency = False
 
-    def estimate_kbps(self) -> Optional[float]:
-        if not self.samples:
-            return None
-        return len(self.samples) / sum(1.0 / s for s in self.samples)
-
 
 class CohortKernel:
-    """Drive ``config.n_sessions`` coupled sessions over ``topology``."""
+    """Drive ``job.n_sessions`` coupled sessions over ``job.topology``.
+
+    ``job`` is the :class:`~repro.topology.jobs.CohortJob` being run;
+    ``content``, ``combinations`` and ``windows`` are what it built
+    from its spec.
+    """
 
     def __init__(
         self,
+        job,
         content,
         combinations,
-        topology: TopologySpec,
         windows: Tuple[FaultWindow, ...] = (),
-        config: Optional[CohortConfig] = None,
     ):
         self.content = content
         self.combos = list(combinations)
         if not self.combos:
             raise SimulationError("cohort needs a non-empty combination set")
-        self.topology = topology
+        self.job = job
+        self.topology: TopologySpec = job.topology
         self.windows = tuple(windows)
-        self.config = config or CohortConfig()
         self.chunk_s = content.chunk_duration_s
         self.n_chunks = content.n_chunks
         self.duration_s = content.duration_s
@@ -382,7 +347,7 @@ class CohortKernel:
     def _uniform(self, tag: str, *coords) -> float:
         digest = hashlib.sha256(
             ("cohort|%d|%s|%s" % (
-                self.config.seed, tag, "|".join(str(c) for c in coords)
+                self.job.seed, tag, "|".join(str(c) for c in coords)
             )).encode("utf-8")
         ).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
@@ -392,7 +357,7 @@ class CohortKernel:
     def run(self) -> CohortResult:
         from ..qoe.aggregate import CohortAggregate
 
-        cfg = self.config
+        cfg = self.job
         self.edges: Dict[str, _Edge] = {
             e.edge_id: _Edge(e, EdgeCache(e.cache_chunks))
             for e in self.topology.edges
@@ -402,9 +367,7 @@ class CohortKernel:
             order = self.topology.endpoint_order(cfg.seed, sid)
             health = EndpointHealth(order, cfg.failover)
             arrival = cfg.arrival_burst_s * sid / cfg.n_sessions
-            self.sessions.append(
-                _Session(sid, arrival, health, cfg.estimator_window)
-            )
+            self.sessions.append(_Session(sid, arrival, health))
 
         self._heap: List[Tuple[float, int, str, tuple]] = []
         self._push_seq = 0
@@ -544,7 +507,6 @@ class CohortKernel:
         if session.done or session.inflight is not None:
             return
         self._advance(session, t)
-        cfg = self.config
         v_left = session.v_done < self.n_chunks
         a_left = session.a_done < self.n_chunks
         if not v_left and not a_left:
@@ -555,8 +517,8 @@ class CohortKernel:
             session.vbuf if v_left else float("inf"),
             session.abuf if a_left else float("inf"),
         )
-        if session.playing and minbuf >= cfg.buffer_target_s:
-            wake_in = minbuf - max(cfg.buffer_target_s - self.chunk_s, 0.0)
+        if session.playing and minbuf >= BUFFER_TARGET_S:
+            wake_in = minbuf - max(BUFFER_TARGET_S - self.chunk_s, 0.0)
             session.req_seq += 1
             self._push(t + wake_in, "wake", (session.sid, session.req_seq))
             return
@@ -573,19 +535,18 @@ class CohortKernel:
         self._dispatch(session, t, medium, index, track.track_id)
 
     def _select(self, session: _Session) -> int:
-        cfg = self.config
-        policy = cfg.retry_policy
+        policy = self.job.retry_policy
         remaining = policy.retry_budget - session.retries_spent
         if remaining <= policy.emergency_threshold():
             # Budget nearly gone: lowest rung, stop gambling bytes.
             session.emergency = True
             session.combo_index = 0
             return 0
-        estimate = session.estimate_kbps()
+        estimate = session.estimator.get_estimate_kbps()
         if estimate is None:
             session.combo_index = 0
             return 0
-        budget = estimate * cfg.safety_factor
+        budget = estimate * SAFETY_FACTOR
         ideal = 0
         for i, combo in enumerate(self.combos):
             if combo.avg_kbps <= budget:
@@ -593,10 +554,10 @@ class CohortKernel:
         current = session.combo_index
         minbuf = min(session.vbuf, session.abuf)
         if ideal > current:
-            if minbuf >= cfg.up_buffer_s:
+            if minbuf >= UP_BUFFER_S:
                 current = ideal
         elif ideal < current:
-            if minbuf < cfg.down_buffer_s:
+            if minbuf < DOWN_BUFFER_S:
                 current = ideal
         session.combo_index = current
         return current
@@ -607,7 +568,6 @@ class CohortKernel:
         self, session: _Session, t: float, medium: MediaType,
         index: int, track_id: str,
     ) -> None:
-        cfg = self.config
         session.attempt += 1
         session.req_seq += 1
         edge_id = session.health.current(t)
@@ -647,7 +607,7 @@ class CohortKernel:
             "dispatched": t,
             "flow": None,
         }
-        deadline = t + cfg.retry_policy.timeout_for(medium)
+        deadline = t + self.job.retry_policy.timeout_for(medium)
         self._push(deadline, "deadline", (session.sid, session.req_seq))
         if failure_kind is not None:
             self._push(
@@ -665,7 +625,7 @@ class CohortKernel:
         edge = self.edges[request["edge"]]
         edge.settle(t)
         flow = _Flow(sid, edge.v, request["size"])
-        flow_id = seq * self.config.n_sessions + sid  # globally unique
+        flow_id = seq * self.job.n_sessions + sid  # globally unique
         edge.flows[flow_id] = flow
         heapq.heappush(edge.heap, (flow.v_target, flow_id))
         edge.gen += 1
@@ -727,7 +687,7 @@ class CohortKernel:
         session.health.record_success(request["edge"])
         elapsed = t - request["dispatched"]
         if elapsed > 0:
-            session.samples.append(request["size"] / elapsed / 1000.0)
+            session.estimator.add_sample_kbps(request["size"] / elapsed / 1000.0)
         session.bits_useful += delivered
         session.chunks_downloaded += 1
         self._advance(session, t)
@@ -791,28 +751,28 @@ class CohortKernel:
                 # cap fires.
                 elapsed = t - request["dispatched"]
                 if elapsed > 0:
-                    session.samples.append(wasted / elapsed / 1000.0)
+                    session.estimator.add_sample_kbps(wasted / elapsed / 1000.0)
         self._fail_request(session, t, kind, wasted_bits=wasted)
 
     def _fail_request(
         self, session: _Session, t: float, kind: FailureKind,
         wasted_bits: float,
     ) -> None:
-        cfg = self.config
+        policy = self.job.retry_policy
         request = session.inflight
         session.inflight = None
         session.bits_wasted += wasted_bits
         session.health.record_failure(request["edge"], t)
         self._advance(session, t)
-        if session.attempt >= cfg.retry_policy.max_attempts:
+        if session.attempt >= policy.max_attempts:
             self._terminate(session, t, "attempts_exhausted")
             return
-        if session.retries_spent >= cfg.retry_policy.retry_budget:
+        if session.retries_spent >= policy.retry_budget:
             self._terminate(session, t, "retry_budget_exhausted")
             return
         session.retries_spent += 1
         session.retries += 1
-        delay = cfg.retry_policy.delay_s(
+        delay = policy.delay_s(
             session.attempt + 1, request["medium"], request["index"]
         )
         # Redispatch the same chunk after backoff (possibly on a
@@ -894,7 +854,7 @@ class CohortKernel:
             mean_av_imbalance_s=session.imbalance_integral / lifetime,
         )
         self._aggregate.add_session(summary)
-        if self.config.keep_summaries:
+        if self.job.keep_summaries:
             self._summaries.append(summary)
 
     # -- result -------------------------------------------------------------
@@ -936,10 +896,10 @@ class CohortKernel:
             for w in self.windows
         )
         return CohortResult(
-            n_sessions=self.config.n_sessions,
+            n_sessions=self.job.n_sessions,
             content_duration_s=self.duration_s,
             completed_sessions=completed,
-            degraded_sessions=self.config.n_sessions - completed,
+            degraded_sessions=self.job.n_sessions - completed,
             verdict_counts=verdicts,
             aggregate=self._aggregate.summary(),
             edges=edges,

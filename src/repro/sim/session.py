@@ -14,8 +14,8 @@ can be computed in closed form.
 The main loop is the hot path of every experiment, sweep and chaos run,
 so it is written for throughput: per-medium state lives in two
 ``__slots__`` lane objects instead of ``MediaType``-keyed dicts, rates
-come from the :meth:`~repro.net.link.NetworkModel.media_rates` tuple
-fast path, buffer samples accumulate in flat lists and are materialized
+come from one :meth:`~repro.net.link.NetworkModel.media_step` query
+per event, buffer samples accumulate in flat lists and are materialized
 once at result-build time, and runs of *quiet* events (trace boundaries
 and dead-time expiries with no decision, completion, failure, wake-up
 or playback transition in between) are collapsed by a fast-forward
@@ -479,28 +479,12 @@ class Session:
             MediaType.AUDIO: self._audio.active,
         }
 
-    def buffered_frontier_s(self, medium: MediaType) -> float:
-        """Playable content time buffered for one medium."""
-        return self._lane(medium).completed * self._chunk_s
-
     def buffer_level_s(self, medium: MediaType) -> float:
         level = (
             self._lane(medium).completed * self._chunk_s
             - self.playback.position_s
         )
         return level if level > 0.0 else 0.0
-
-    def _min_frontier_s(self) -> float:
-        fv = self._video.completed * self._chunk_s
-        fa = self._audio.completed * self._chunk_s
-        return fv if fv <= fa else fa
-
-    def _all_downloaded(self) -> bool:
-        n = self.content.n_chunks
-        return self._video.completed >= n and self._audio.completed >= n
-
-    def _medium_done(self, medium: MediaType) -> bool:
-        return self._lane(medium).completed >= self.content.n_chunks
 
     def chunk_available_at(self, index: int) -> float:
         """Wall time at which chunk ``index`` becomes requestable."""
@@ -818,15 +802,6 @@ class Session:
                 },
             )
         self.player.on_chunk_complete(record, self.ctx)
-
-    def _complete_downloads(self) -> None:
-        for lane in self._lanes:
-            download = lane.active
-            if download is None or not download.finished:
-                continue
-            if download.failed:
-                continue  # handled by _process_failures
-            self._complete(lane, download)
 
     #: Re-requesting the same chunk more than this many times after
     #: aborting it indicates a player abort-loop bug.

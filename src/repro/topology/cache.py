@@ -3,68 +3,34 @@
 Hit/miss dynamics are driven by the *actual* chunk request stream the
 cohort's sessions emit — which is what makes an eviction storm hurt:
 the post-flush misses arrive exactly when a crowd is re-requesting the
-same popular rungs. Insertion and recency order are the only state, so
-identical request streams produce identical hit/miss sequences in any
-process (no hashing randomization: keys are plain tuples in an
-``OrderedDict``).
+same popular rungs. The cache is the simulator's one
+:class:`~repro.net.server.LruCache` with every chunk admitted at size
+1, so capacity counts chunks. Keys are plain tuples, so identical
+request streams produce identical hit/miss sequences in any process.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Tuple
+
+from ..net.server import LruCache
 
 #: A cached object: (track id, chunk index).
 ChunkAddress = Tuple[str, int]
 
 
-class EdgeCache:
+class EdgeCache(LruCache):
     """Bounded LRU over chunk addresses with hit/miss/eviction counters.
 
     ``capacity_chunks=0`` disables caching entirely: every lookup is a
     miss and nothing is admitted (an edge reduced to a dumb proxy).
     """
 
-    __slots__ = ("capacity_chunks", "_entries", "hits", "misses", "evictions")
+    __slots__ = ()
 
     def __init__(self, capacity_chunks: int):
         if capacity_chunks < 0:
             raise ValueError(
                 f"cache capacity must be >= 0 chunks, got {capacity_chunks}"
             )
-        self.capacity_chunks = capacity_chunks
-        self._entries: "OrderedDict[ChunkAddress, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, address: ChunkAddress) -> bool:
-        """Is ``address`` cached? Touches recency on a hit."""
-        if address in self._entries:
-            self._entries.move_to_end(address)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def admit(self, address: ChunkAddress) -> None:
-        """Insert after a successful origin fetch, evicting LRU first."""
-        if self.capacity_chunks == 0:
-            return
-        if address in self._entries:
-            self._entries.move_to_end(address)
-            return
-        while len(self._entries) >= self.capacity_chunks:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[address] = None
-
-    def flush(self) -> int:
-        """Eviction storm: drop everything; returns the chunks lost."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self.evictions += dropped
-        return dropped
+        super().__init__(capacity_chunks)

@@ -178,18 +178,26 @@ class FaultDomainSchedule:
     # -- CLI grammar --------------------------------------------------------
 
     def spec(self) -> str:
-        """Round-trippable spec string (shown in report params)."""
+        """Round-trippable spec string: ``from_spec(s.spec()) == s``.
+
+        Every field is emitted, floats at full ``repr`` precision, so
+        the string (and the cohort key built from it) tells any two
+        different schedules apart.
+        """
         kinds = "-".join(kind.value for kind in self.kinds) or "none"
         parts = [
-            f"{kinds}:p={self.probability},seed={self.seed}",
+            f"{kinds}:p={self.probability!r},seed={self.seed}",
             f"windows={self.windows_per_domain}",
-            f"duration={self.duration_s}",
-            f"horizon={self.horizon_s}",
+            f"duration={self.duration_s!r}",
+            f"horizon={self.horizon_s!r}",
+            f"latency={self.latency_factor!r}",
+            f"errp={self.error_probability!r}",
         ]
         for window in self.pinned:
             parts.append(
                 f"pin={window.kind.value}@{window.domain}"
-                f"@{window.start_s:g}@{window.end_s:g}"
+                f"@{window.start_s!r}@{window.end_s!r}"
+                f"@{window.latency_factor!r}@{window.error_probability!r}"
             )
         return ",".join(parts)
 
@@ -242,9 +250,12 @@ class FaultDomainSchedule:
         pinned = []
         for pin in pins:
             fields = pin.split("@")
-            if len(fields) != 4:
+            if len(fields) == 4:
+                fields += [scalars.get("latency", 4.0), scalars.get("errp", 0.5)]
+            if len(fields) != 6:
                 raise ExperimentError(
-                    f"pinned window {pin!r} is not KIND@DOMAIN@START@END"
+                    f"pinned window {pin!r} is not "
+                    "KIND@DOMAIN@START@END[@LATENCY@ERRP]"
                 )
             try:
                 pinned.append(
@@ -253,8 +264,8 @@ class FaultDomainSchedule:
                         domain=fields[1],
                         start_s=float(fields[2]),
                         end_s=float(fields[3]),
-                        latency_factor=float(scalars.get("latency", 4.0)),
-                        error_probability=float(scalars.get("errp", 0.5)),
+                        latency_factor=float(fields[4]),
+                        error_probability=float(fields[5]),
                     )
                 )
             except ValueError as exc:

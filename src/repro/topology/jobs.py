@@ -4,10 +4,11 @@ A :class:`CohortJob` is to the cohort kernel what
 :class:`~repro.runner.jobs.SimulationJob` is to the single-session
 kernel: frozen plain data whose sha256 key is its identity in the
 result cache, rebuilt into live state inside whichever worker runs it.
-The runner engine dispatches on the job's ``execute`` hook, so cohort
-cells ride the existing machinery — parallel pools, crash-safe
-checkpointing, chaos injection, resume — without the engine knowing
-anything about topologies.
+Both job types share one protocol — ``key()`` over
+:func:`~repro.runner.jobs.spec_key` and ``execute(attempt, log_path,
+key)`` — so cohort cells ride the runner's machinery (parallel pools,
+crash-safe checkpointing, chaos injection, resume) without the engine
+knowing anything about topologies.
 
 The fault schedule serializes into the key via its round-trippable
 spec string (:meth:`~repro.topology.faults.FaultDomainSchedule.spec`),
@@ -22,23 +23,31 @@ change also bumps :data:`COHORT_SPEC_SCHEMA_VERSION`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..errors import SimulationError
 from ..net.resilience import FailoverPolicy, RetryPolicy
-from ..runner.jobs import ContentSpec
+from ..runner.jobs import ContentSpec, spec_key
 from .faults import FaultDomainSchedule
 from .spec import TopologySpec
 
 #: Bumped when the meaning of an existing cohort-spec field changes.
-COHORT_SPEC_SCHEMA_VERSION = 1
+#: Version 2: the fault spec string carries every schedule and window
+#: field at full float precision (version 1 keys collided).
+COHORT_SPEC_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class CohortJob:
-    """One cohort cell: N sessions on one topology under one storm."""
+    """One cohort cell: N sessions on one topology under one storm.
+
+    Session ``i`` arrives at ``i * arrival_burst_s / n_sessions`` (the
+    flash-crowd window); ``max_sim_time_s`` is the ceiling past which
+    surviving sessions end degraded; ``keep_summaries=False`` drops the
+    per-session summaries (the aggregate is kept) for very large
+    cohorts.
+    """
 
     topology: TopologySpec = field(default_factory=TopologySpec)
     faults: Optional[FaultDomainSchedule] = None
@@ -50,6 +59,20 @@ class CohortJob:
     seed: int = 0
     max_sim_time_s: float = 3600.0
     keep_summaries: bool = True
+
+    def __post_init__(self) -> None:
+        if self.n_sessions < 1:
+            raise SimulationError(
+                f"cohort needs at least one session, got {self.n_sessions}"
+            )
+        if self.arrival_burst_s < 0:
+            raise SimulationError(
+                f"arrival burst must be >= 0, got {self.arrival_burst_s}"
+            )
+        if self.max_sim_time_s <= 0:
+            raise SimulationError(
+                f"max sim time must be positive, got {self.max_sim_time_s}"
+            )
 
     def spec_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready form; the basis of the cache key."""
@@ -70,10 +93,7 @@ class CohortJob:
 
     def key(self) -> str:
         """Stable content-addressed identity of this job."""
-        canonical = json.dumps(
-            self.spec_dict(), sort_keys=True, separators=(",", ":"), default=list
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return spec_key(self.spec_dict())
 
     def label(self, key: Optional[str] = None) -> str:
         """Short human identity for chaos logs and failure messages;
@@ -85,45 +105,42 @@ class CohortJob:
             f"/{storm}/s{self.seed}#{key[:10]}"
         )
 
-    def execute(self, attempt: int = 1, record_dir: Optional[str] = None):
-        """Run the cohort; the engine's job-agnostic entry point.
+    def execute(
+        self,
+        attempt: int = 1,
+        log_path: Optional[str] = None,
+        key: Optional[str] = None,
+    ):
+        """Run the cohort to a :class:`~repro.sim.cohort.CohortResult`.
 
-        ``record_dir`` writes a schema-2 fault-domain event log next to
-        the session logs single-session jobs record — the CI artifact
-        showing which windows opened and who failed over where.
+        ``log_path`` writes the schema-2 fault-domain event log there —
+        the CI artifact showing which windows opened and who failed
+        over where. ``key`` is this job's :meth:`key` when the caller
+        already holds it. ``attempt`` is accepted for the runner's job
+        protocol; a cohort run does not depend on it.
         """
         # Deferred import: topology.* must stay importable without the
         # sim layer (which itself imports topology specs for the kernel).
         from ..core.combinations import curated_combinations
-        from ..sim.cohort import CohortConfig, CohortKernel
+        from ..sim.cohort import CohortKernel
 
         content = self.content.build()
-        combos = curated_combinations(content)
         windows = (
             () if self.faults is None else self.faults.windows_for(self.topology)
         )
-        config = CohortConfig(
-            n_sessions=self.n_sessions,
-            arrival_burst_s=self.arrival_burst_s,
-            retry_policy=self.retry_policy,
-            failover=self.failover,
-            seed=self.seed,
-            max_sim_time_s=self.max_sim_time_s,
-            keep_summaries=self.keep_summaries,
-        )
-        kernel = CohortKernel(
-            content, combos, self.topology, windows=windows, config=config
-        )
-        result = kernel.run()
-        if record_dir is not None:
-            self._record_fault_log(result, record_dir)
+        result = CohortKernel(
+            self, content, curated_combinations(content), windows
+        ).run()
+        if log_path is not None:
+            self._record_fault_log(
+                result, log_path, self.key() if key is None else key
+            )
         return result
 
-    def _record_fault_log(self, result, record_dir: str) -> None:
+    def _record_fault_log(self, result, log_path: str, key: str) -> None:
         """Write the cohort's fault-domain event log (schema 2)."""
-        from ..replay.recorder import EventRecorder, record_path
+        from ..replay.recorder import EventRecorder
 
-        key = self.key()
         meta = {
             "job": self.spec_dict(),
             "key": key,
@@ -131,7 +148,7 @@ class CohortJob:
             # Topology fields: their presence stamps the header schema 2.
             "edges": [edge.edge_id for edge in self.topology.edges],
         }
-        with EventRecorder(record_path(record_dir, key), meta) as rec:
+        with EventRecorder(log_path, meta) as rec:
             rec.emit("session_meta", {"n_sessions": self.n_sessions})
             for window in result.fault_windows:
                 rec.emit("fault_window", dict(window))

@@ -271,7 +271,8 @@ class TestCrashIsolation:
         chaos = ChaosSchedule(
             kinds=(FaultKind.RAISE,), probability=1.0, fault_attempts=99, seed=0
         )
-        runner = GridRunner(workers=2, job_retries=0, chaos=chaos)
+        with runner_options(workers=2, job_retries=0, chaos=chaos):
+            runner = GridRunner()
         with pytest.raises(ExperimentError, match="failed after"):
             runner.results(cheap_grid(2))
 
@@ -436,9 +437,10 @@ class TestCheckpointResume:
 class TestGridRunnerChaos:
     def test_params_report_chaos_and_recovery(self, tmp_path):
         chaos = ChaosSchedule(kinds=(FaultKind.RAISE,), probability=1.0, seed=0)
-        runner = GridRunner(
+        with runner_options(
             workers=2, cache_dir=str(tmp_path), job_retries=2, chaos=chaos
-        )
+        ):
+            runner = GridRunner()
         jobs = cheap_grid(2)
         results = runner.results(jobs)
         assert len(results) == 2

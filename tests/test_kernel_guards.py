@@ -51,11 +51,13 @@ class _CoincidentBurstNetwork(NetworkModel):
         self.rtt_s = 0.0
         self._calls = {}
 
-    def rates(self, active, t):
-        if not active:
-            return {}
-        share = self.kbps / len(active)
-        return {key: share for key in active}
+    def media_step(self, video_active, audio_active, t):
+        share = self.kbps / (video_active + audio_active)
+        return (
+            share if video_active else 0.0,
+            share if audio_active else 0.0,
+            self.next_change_after(t),
+        )
 
     def next_change_after(self, t: float) -> float:
         n = self._calls.get(t, 0) + 1

@@ -3,36 +3,32 @@
 import pytest
 
 from repro.errors import LinkConfigError, SimulationError, TraceError
-from repro.media.tracks import MediaType
 from repro.net.link import SeparatePaths, SharedBottleneck, shared
 from repro.net.traces import constant, from_pairs
-
-A = MediaType.AUDIO
-V = MediaType.VIDEO
-
 
 class TestSharedBottleneck:
     def test_single_download_gets_full_rate(self):
         link = shared(constant(1000))
-        assert link.rates({"v": V}, 0.0) == {"v": 1000}
+        assert link.media_step(True, False, 0.0)[:2] == (1000, 0.0)
+        assert link.media_step(False, True, 0.0)[:2] == (0.0, 1000)
 
     def test_two_downloads_split_equally(self):
         # The fair split that halves Shaka's per-stream samples (Fig. 4a).
         link = shared(constant(1000))
-        rates = link.rates({"v": V, "a": A}, 0.0)
-        assert rates == {"v": 500, "a": 500}
+        assert link.media_step(True, True, 0.0)[:2] == (500, 500)
 
     def test_no_downloads(self):
-        assert shared(constant(1000)).rates({}, 0.0) == {}
+        assert shared(constant(1000)).media_step(False, False, 0.0)[:2] == (0.0, 0.0)
 
     def test_rate_follows_trace(self):
         link = shared(from_pairs([(10, 100), (10, 900)]))
-        assert link.rates({"v": V}, 5.0)["v"] == 100
-        assert link.rates({"v": V}, 15.0)["v"] == 900
+        assert link.media_step(True, False, 5.0)[0] == 100
+        assert link.media_step(True, False, 15.0)[0] == 900
 
     def test_next_change_delegates(self):
         link = shared(from_pairs([(10, 100), (10, 900)]))
         assert link.next_change_after(3) == 10
+        assert link.media_step(True, False, 3)[2] == 10
 
     def test_negative_rtt_rejected(self):
         # A bad RTT is a simulation-setup mistake, not bad trace data.
@@ -56,20 +52,15 @@ class TestSharedBottleneck:
 class TestSeparatePaths:
     def test_each_medium_gets_its_own_trace(self):
         paths = SeparatePaths(video_trace=constant(2000), audio_trace=constant(300))
-        rates = paths.rates({"v": V, "a": A}, 0.0)
-        assert rates == {"v": 2000, "a": 300}
+        assert paths.media_step(True, True, 0.0)[:2] == (2000, 300)
 
     def test_concurrency_does_not_cross_media(self):
         # Audio downloading never steals video-path bandwidth.
         paths = SeparatePaths(video_trace=constant(2000), audio_trace=constant(300))
-        solo = paths.rates({"v": V}, 0.0)["v"]
-        both = paths.rates({"v": V, "a": A}, 0.0)["v"]
-        assert solo == both == 2000
-
-    def test_same_medium_shares_its_path(self):
-        paths = SeparatePaths(video_trace=constant(2000), audio_trace=constant(300))
-        rates = paths.rates({"v1": V, "v2": V}, 0.0)
-        assert rates == {"v1": 1000, "v2": 1000}
+        solo = paths.media_step(True, False, 0.0)
+        both = paths.media_step(True, True, 0.0)
+        assert solo[0] == both[0] == 2000
+        assert solo[1] == 0.0
 
     def test_next_change_is_min_over_paths(self):
         paths = SeparatePaths(
@@ -77,6 +68,7 @@ class TestSeparatePaths:
             audio_trace=from_pairs([(4, 50), (4, 80)]),
         )
         assert paths.next_change_after(0) == 4
+        assert paths.media_step(True, True, 0)[2] == 4
 
     def test_negative_rtt_rejected(self):
         with pytest.raises(SimulationError):

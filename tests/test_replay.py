@@ -320,10 +320,11 @@ class TestRunnerRecording:
             assert replayed.result.summary() == outcome.result.summary()
 
     def test_grid_runner_reports_provenance(self, tmp_path):
-        from repro.runner.engine import GridRunner
+        from repro.runner.engine import GridRunner, runner_options
 
         record_dir = str(tmp_path / "rec")
-        runner = GridRunner(record_dir=record_dir)
+        with runner_options(record_dir=record_dir):
+            runner = GridRunner()
         jobs = [
             SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0))
         ]

@@ -202,11 +202,58 @@ class TestKeyContract:
                 if dataclasses.is_dataclass(sub):
                     assert set(value) == field_names(sub), name
 
+        # A cohort keys its faults by FaultDomainSchedule.spec(), a
+        # string: every schedule and pinned-window field must move it.
+        from repro.topology import FaultDomainKind as Kind
+        from repro.topology import FaultDomainSchedule, FaultWindow
+
+        window = FaultWindow(
+            Kind.ORIGIN_BROWNOUT, "origin", 60.1234567, 80.0,
+            latency_factor=6.0, error_probability=0.4,
+        )
+        schedule = FaultDomainSchedule(
+            kinds=(Kind.EDGE_OUTAGE,), seed=1, probability=0.5,
+            windows_per_domain=2, duration_s=30.5, horizon_s=200.25,
+            latency_factor=5.0, error_probability=0.25, pinned=(window,),
+        )
+        window_changes = {
+            "kind": Kind.EVICTION_STORM,
+            "domain": "edge-1",
+            "start_s": 60.12345678,
+            "end_s": 80.5,
+            "latency_factor": 6.5,
+            "error_probability": 0.45,
+        }
+        schedule_changes = {
+            "kinds": (Kind.EVICTION_STORM,),
+            "seed": 2,
+            "probability": 0.55,
+            "windows_per_domain": 3,
+            "duration_s": 30.25,
+            "horizon_s": 200.5,
+            "latency_factor": 5.5,
+            "error_probability": 0.3,
+            "pinned": (),
+        }
+        assert set(window_changes) == field_names(window)
+        assert set(schedule_changes) == field_names(schedule)
+        variants = [
+            dataclasses.replace(schedule, **{name: value})
+            for name, value in schedule_changes.items()
+        ] + [
+            dataclasses.replace(
+                schedule, pinned=(dataclasses.replace(window, **{name: value}),)
+            )
+            for name, value in window_changes.items()
+        ]
+        keys = {CohortJob(faults=s).key() for s in [schedule, *variants]}
+        assert len(keys) == 1 + len(variants)
+
     def test_cohort_key_bytes_are_pinned(self):
         from repro.topology import CohortJob
 
         assert CohortJob().key() == (
-            "4cc4c038fa27265efcb0b36fa01882f3b443bcb92644a48027cecedbacc15d5a"
+            "016f293df480ce3d9ed1d4edffbbf82fb4f0cd0d993f4ca77d00de93b31c2255"
         )
 
 

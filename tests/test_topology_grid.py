@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import check_outcomes
 from repro.net.resilience import FailoverPolicy
-from repro.runner import GridRunner, ResultCache, run_jobs
+from repro.runner import GridRunner, ResultCache, run_jobs, runner_options
 from repro.topology import (
     CohortJob,
     FaultDomainKind,
@@ -86,7 +86,8 @@ class TestCohortGridDeterminism:
         assert clone.fingerprint() == outcome.result.fingerprint()
 
     def test_grid_runner_mixes_into_reports(self, tmp_path):
-        runner = GridRunner(workers=2, cache_dir=str(tmp_path))
+        with runner_options(workers=2, cache_dir=str(tmp_path)):
+            runner = GridRunner()
         jobs = cohort_grid(2)
         results = runner.results(jobs)
         assert len(results) == 2
