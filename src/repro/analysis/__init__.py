@@ -3,8 +3,10 @@
 ``repro.analysis`` lints raw manifest *text* — MPD XML and m3u8
 playlists — with file/line/column source spans: RFC 8216 and DASH-IF
 conformance plus the paper's Section 4.1 best practices (curated
-combination sets, per-track bandwidth). For the simulator's own Python
-source it runs the determinism lint (``DET-*``,
+combination sets, per-track bandwidth). It reads manifests through the
+span-keeping readers of :mod:`repro.manifest` (``hls.scan_playlist``,
+``dash.parse_xml``) that the strict parsers share. For the simulator's
+own Python source it runs the determinism lint (``DET-*``,
 :mod:`repro.analysis.pylint_determinism`) and the pickle/fork-safety
 lint (``POOL-*``, :mod:`repro.analysis.code_pool`), one file at a time,
 with one inline suppression grammar (``# lint: allow[RULE-ID]``, see

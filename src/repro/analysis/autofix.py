@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..manifest.hls import ScannedPlaylist
 from .code_engine import _ALLOW_RE
 from .context import RuleContext
 from .engine import AnalyzedDocument, AnalyzerConfig, prepare, run_rules
@@ -28,7 +29,6 @@ from .hls_rules import (
     derived_variant_average_bps,
     required_version,
 )
-from .hls_syntax import ScannedPlaylist
 from .spans import Document
 
 #: One pass per fixable rule plus slack: each pass repairs at least one
@@ -83,12 +83,12 @@ def _append_line(doc: Document, new_line: str) -> TextEdit:
     return TextEdit(len(text), len(text), "\n" + new_line + "\n")
 
 
-def _header_insert_line(scanned: ScannedPlaylist) -> int:
+def _header_insert_line(doc: Document) -> int:
     """The 1-based line *before* which header tags should be inserted."""
     # After #EXTM3U (line 1 by convention) and EXT-X-VERSION when present.
     anchor = 1
-    for line_no in range(1, scanned.doc.n_lines + 1):
-        text = scanned.doc.line_text(line_no).strip()
+    for line_no in range(1, doc.n_lines + 1):
+        text = doc.line_text(line_no).strip()
         if text == "#EXTM3U" or text.startswith("#EXT-X-VERSION:"):
             anchor = line_no
             continue
@@ -160,7 +160,7 @@ def fix_targetduration_present(finding, analyzed, ctx) -> List[TextEdit]:
     scanned = analyzed.playlist
     target = _required_target_duration(scanned)
     new_line = f"#EXT-X-TARGETDURATION:{target}"
-    anchor = _header_insert_line(scanned)
+    anchor = _header_insert_line(analyzed.doc)
     if anchor > analyzed.doc.n_lines:
         return [_append_line(analyzed.doc, new_line)]
     return [_insert_line_before(analyzed.doc, anchor, new_line)]

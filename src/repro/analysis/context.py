@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, TYPE_CHECKING
 
-from .hls_syntax import ScannedPlaylist
+from ..manifest.hls import ScannedPlaylist
 from .spans import Document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

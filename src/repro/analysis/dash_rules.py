@@ -1,7 +1,8 @@
 """DASH MPD rules: ISO/IEC 23009-1 sanity + the paper's Section 4.1.
 
-These operate on the position-annotated XML view from
-:mod:`repro.analysis.dash_syntax`, so findings point at the element
+These operate on the position-annotated XML tree from
+:func:`repro.manifest.dash.parse_xml` (the reader ``parse_mpd`` walks
+too), so findings point at the element
 that violates the rule. The two object-level DASH rules of
 ``repro.manifest.validate`` (``DASH-COMBINATIONS``,
 ``DASH-BANDWIDTH-SANITY``) are ported with identical semantics.
@@ -9,11 +10,10 @@ that violates the rule. The two object-level DASH rules of
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
-from ..manifest.dash import REPRO_NS
+from ..manifest.dash import REPRO_NS, XmlElement
 from .context import RuleContext
-from .dash_syntax import XmlElement
 from .findings import Finding, Severity
 from .registry import Category, Kind, rule
 from .spans import Document, SourceSpan
@@ -215,11 +215,7 @@ def check_segment_template(doc: Document, root: XmlElement, ctx: RuleContext) ->
     reference="paper Section 4.1 (server-side practice 1 for DASH)",
 )
 def check_combinations(doc: Document, root: XmlElement, ctx: RuleContext) -> Iterator[Finding]:
-    has_extension = any(
-        child.tag == f"{{{REPRO_NS}}}AllowedCombinations"
-        for child in root.children
-    )
-    if not has_extension:
+    if root.find(f"{{{REPRO_NS}}}AllowedCombinations") is None:
         yield check_combinations.rule.finding(
             "no allowed-combinations restriction: players must invent "
             "their own pairing policy (ExoPlayer) or allow everything "

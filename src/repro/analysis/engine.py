@@ -5,7 +5,9 @@ rule invocations. It
 
 1. classifies each input document (MPD XML, m3u8 master, m3u8 media,
    Python source) from its name and content,
-2. parses it with the matching position-preserving parser — a document
+2. parses it with the matching position-preserving reader — the MPD
+   tree and playlist scan of :mod:`repro.manifest`, which the strict
+   parsers share, or :mod:`ast` for Python — a document
    that cannot be parsed *at all* raises :class:`AnalysisParseFailure`,
    which the CLI maps to exit code 2, distinct from rule findings,
 3. runs every registered rule of the matching kind, and
@@ -22,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Set, Tuple
 
+from ..manifest.dash import XmlElement, XmlParseFailure, parse_xml
+from ..manifest.hls import ScannedPlaylist, scan_playlist
 from .code_engine import PySource, parse_python
 from .context import RuleContext
-from .dash_syntax import XmlElement, XmlParseFailure, parse_xml
 from .findings import Baseline, Finding, sort_findings
-from .hls_syntax import ScannedPlaylist, scan_playlist
 from .registry import REGISTRY, Kind
 from .spans import Document
 
@@ -131,7 +133,7 @@ def prepare(
         else:  # hls
             if not text.strip():
                 raise AnalysisParseFailure(name, "empty playlist document")
-            scanned = scan_playlist(doc)
+            scanned = scan_playlist(text)
             playlist_kind = (
                 Kind.HLS_MASTER if scanned.is_master else Kind.HLS_MEDIA
             )
@@ -237,11 +239,12 @@ def run_rules(
             for entry in REGISTRY.for_kind(rule_kind):
                 if not config.rule_enabled(entry.rule_id):
                     continue
-                if analyzed.kind == Kind.DASH:
-                    produced = entry.check(analyzed.doc, analyzed.xml_root, ctx)
-                else:
-                    produced = entry.check(analyzed.playlist, ctx)
-                findings.extend(produced)
+                tree = (
+                    analyzed.xml_root
+                    if analyzed.kind == Kind.DASH
+                    else analyzed.playlist
+                )
+                findings.extend(entry.check(analyzed.doc, tree, ctx))
     return findings
 
 

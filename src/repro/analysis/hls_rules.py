@@ -1,8 +1,10 @@
 """HLS playlist rules: RFC 8216 conformance + the paper's Section 4.1.
 
-Each rule is a generator over a :class:`~repro.analysis.hls_syntax.ScannedPlaylist`
-(plus the run-wide :class:`~repro.analysis.context.RuleContext`) and
-yields findings anchored to the offending line. The eight rules of the
+Each rule is a generator over a document, its
+:class:`~repro.manifest.hls.ScannedPlaylist` (the scan the strict
+parsers share) and the run-wide
+:class:`~repro.analysis.context.RuleContext`, and yields findings
+anchored to the offending line. The eight rules of the
 original object-level linter (``repro.manifest.validate``) are ported
 here with their IDs and semantics intact; the rest are new text-level
 conformance checks.
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..manifest.hls import ScannedPlaylist, derived_bitrates_kbps
 from .context import RuleContext
 from .findings import Finding, Severity
-from .hls_syntax import ScannedPlaylist, derived_segment_bitrates_kbps
 from .registry import Category, Kind, rule
+from .spans import Document
 
 # ---------------------------------------------------------------------------
 # Syntax / structural conformance (both levels)
@@ -38,9 +41,10 @@ from .registry import Category, Kind, rule
     reference="RFC 8216 §4.3.1.1",
     fixable=True,
 )
-def check_extm3u(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Finding]:
+def check_extm3u(
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
+) -> Iterator[Finding]:
     if not scanned.has_extm3u:
-        doc = scanned.doc
         yield check_extm3u.rule.finding(
             "playlist does not begin with #EXTM3U",
             doc.span_of_line(1),
@@ -57,15 +61,15 @@ def check_extm3u(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Finding
     reference="RFC 8216 §4.2",
 )
 def check_attr_syntax(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     for issue in scanned.issues:
         if issue.code != "attr":
             continue
         yield check_attr_syntax.rule.finding(
             issue.message,
-            scanned.doc.span_of_line(issue.line),
-            line_text=scanned.doc.line_text(issue.line),
+            doc.span_of_line(issue.line),
+            line_text=doc.line_text(issue.line),
         )
 
 
@@ -78,15 +82,15 @@ def check_attr_syntax(
     reference="RFC 8216 §4.3.2.1, §4.3.4.2",
 )
 def check_uri_present(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     for issue in scanned.issues:
         if issue.code != "uri":
             continue
         yield check_uri_present.rule.finding(
             issue.message,
-            scanned.doc.span_of_line(issue.line),
-            line_text=scanned.doc.line_text(issue.line),
+            doc.span_of_line(issue.line),
+            line_text=doc.line_text(issue.line),
         )
 
 
@@ -110,7 +114,7 @@ def required_version(scanned: ScannedPlaylist) -> int:
     fixable=True,
 )
 def check_version_gate(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     required = required_version(scanned)
     declared = scanned.version if scanned.version is not None else 1
@@ -124,8 +128,8 @@ def check_version_gate(
     line = scanned.version_line or 1
     yield check_version_gate.rule.finding(
         f"declared version {declared} but {'; '.join(reasons)}",
-        scanned.doc.span_of_line(line),
-        line_text=scanned.doc.line_text(line),
+        doc.span_of_line(line),
+        line_text=doc.line_text(line),
     )
 
 
@@ -143,7 +147,7 @@ def check_version_gate(
     reference="RFC 8216 §4.3.4.2",
 )
 def check_bandwidth_present(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     for variant in scanned.variants:
         if variant.bandwidth_bps is None or variant.bandwidth_bps <= 0:
@@ -151,8 +155,8 @@ def check_bandwidth_present(
             detail = "lacks BANDWIDTH" if raw is None else f"has BANDWIDTH={raw!r}"
             yield check_bandwidth_present.rule.finding(
                 f"variant {variant.uri!r} {detail}; players cannot rank it",
-                scanned.doc.span_of_line(variant.line),
-                line_text=scanned.doc.line_text(variant.line),
+                doc.span_of_line(variant.line),
+                line_text=doc.line_text(variant.line),
             )
 
 
@@ -165,15 +169,15 @@ def check_bandwidth_present(
     reference="RFC 8216 §4.3.4.2",
 )
 def check_codecs_present(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     for variant in scanned.variants:
         if not variant.codecs:
             yield check_codecs_present.rule.finding(
                 f"variant {variant.uri!r} lacks CODECS; players must probe "
                 "the media to know whether they can play it",
-                scanned.doc.span_of_line(variant.line),
-                line_text=scanned.doc.line_text(variant.line),
+                doc.span_of_line(variant.line),
+                line_text=doc.line_text(variant.line),
             )
 
 
@@ -186,7 +190,7 @@ def check_codecs_present(
     reference="RFC 8216 §4.3.4.2",
 )
 def check_group_integrity(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     audio_groups = {
         r.group_id for r in scanned.renditions if r.media_type == "AUDIO"
@@ -197,8 +201,8 @@ def check_group_integrity(
             yield check_group_integrity.rule.finding(
                 f"variant {variant.uri!r} references AUDIO group {group!r} "
                 "but no EXT-X-MEDIA rendition declares that GROUP-ID",
-                scanned.doc.find_in_line(variant.line, f'AUDIO="{group}"'),
-                line_text=scanned.doc.line_text(variant.line),
+                doc.find_in_line(variant.line, f'AUDIO="{group}"'),
+                line_text=doc.line_text(variant.line),
             )
 
 
@@ -211,7 +215,7 @@ def check_group_integrity(
     reference="RFC 8216 §4.3.4.1.1",
 )
 def check_rendition_names(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     seen = {}
     for rendition in scanned.renditions:
@@ -220,8 +224,8 @@ def check_rendition_names(
             yield check_rendition_names.rule.finding(
                 f"duplicate NAME {rendition.name!r} in group "
                 f"{rendition.group_id!r} (first declared on line {seen[key]})",
-                scanned.doc.span_of_line(rendition.line),
-                line_text=scanned.doc.line_text(rendition.line),
+                doc.span_of_line(rendition.line),
+                line_text=doc.line_text(rendition.line),
             )
         else:
             seen[key] = rendition.line
@@ -240,7 +244,9 @@ def check_rendition_names(
     summary="list a curated subset of combinations, not the cross product",
     reference="paper Section 4.1 (server-side practice 1)",
 )
-def check_curated(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Finding]:
+def check_curated(
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
+) -> Iterator[Finding]:
     video_ids = {v.video_id for v in scanned.variants if v.video_id}
     audio_ids = {v.audio_id for v in scanned.variants if v.audio_id}
     if (
@@ -253,8 +259,8 @@ def check_curated(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Findin
             f"master lists all {len(scanned.variants)} combinations of "
             f"{len(video_ids)} video x {len(audio_ids)} audio tracks; "
             "curate the desirable subset instead (Section 4.1)",
-            scanned.doc.span_of_line(line),
-            line_text=scanned.doc.line_text(line),
+            doc.span_of_line(line),
+            line_text=doc.line_text(line),
         )
 
 
@@ -268,15 +274,15 @@ def check_curated(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Findin
     fixable=True,
 )
 def check_average_bandwidth(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     for variant in scanned.variants:
         if "AVERAGE-BANDWIDTH" not in variant.attrs:
             yield check_average_bandwidth.rule.finding(
                 f"variant {variant.uri!r} lacks AVERAGE-BANDWIDTH "
                 "(peak-only budgeting over-constrains VBR ladders)",
-                scanned.doc.span_of_line(variant.line),
-                line_text=scanned.doc.line_text(variant.line),
+                doc.span_of_line(variant.line),
+                line_text=doc.line_text(variant.line),
             )
 
 
@@ -290,7 +296,7 @@ def check_average_bandwidth(
     fixable=True,
 )
 def check_variant_order(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     video_ids = sorted({v.video_id for v in scanned.variants if v.video_id})
     for video_id in video_ids:
@@ -307,8 +313,8 @@ def check_variant_order(
                 f"the first variant containing {video_id} is not its "
                 "cheapest; players that price the track by its first "
                 "variant will overestimate it more than necessary",
-                scanned.doc.span_of_line(first.line),
-                line_text=scanned.doc.line_text(first.line),
+                doc.span_of_line(first.line),
+                line_text=doc.line_text(first.line),
             )
 
 
@@ -321,7 +327,7 @@ def check_variant_order(
     reference="paper Section 4.1; RFC 8216 §4.3.4.2",
 )
 def check_audio_coverage(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     rendition_names = {r.name for r in scanned.renditions}
     group_ids = {r.group_id for r in scanned.renditions}
@@ -334,8 +340,8 @@ def check_audio_coverage(
             yield check_audio_coverage.rule.finding(
                 f"variant {variant.uri!r} references audio "
                 f"{variant.audio_id!r} with no EXT-X-MEDIA rendition",
-                scanned.doc.span_of_line(variant.line),
-                line_text=scanned.doc.line_text(variant.line),
+                doc.span_of_line(variant.line),
+                line_text=doc.line_text(variant.line),
             )
 
 
@@ -354,13 +360,13 @@ def check_audio_coverage(
     fixable=True,
 )
 def check_targetduration_present(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     if scanned.target_duration is None and scanned.segments:
         yield check_targetduration_present.rule.finding(
             "media playlist lacks EXT-X-TARGETDURATION",
-            scanned.doc.span_of_line(1),
-            line_text=scanned.doc.line_text(1),
+            doc.span_of_line(1),
+            line_text=doc.line_text(1),
         )
 
 
@@ -374,7 +380,7 @@ def check_targetduration_present(
     fixable=True,
 )
 def check_targetduration(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     if scanned.target_duration is None:
         return
@@ -388,8 +394,8 @@ def check_targetduration(
                 f"segment {segment.uri!r} lasts {segment.duration_s:g}s but "
                 f"EXT-X-TARGETDURATION is {scanned.target_duration}; players "
                 "size their live/step timers from the target duration",
-                scanned.doc.span_of_line(segment.extinf_line),
-                line_text=scanned.doc.line_text(segment.extinf_line),
+                doc.span_of_line(segment.extinf_line),
+                line_text=doc.line_text(segment.extinf_line),
             )
 
 
@@ -402,14 +408,16 @@ def check_targetduration(
     reference="RFC 8216 §4.3.3.4, §6.2.1",
     fixable=True,
 )
-def check_endlist(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Finding]:
+def check_endlist(
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
+) -> Iterator[Finding]:
     if scanned.playlist_type == "VOD" and not scanned.has_endlist:
-        last = scanned.doc.n_lines
+        last = doc.n_lines
         yield check_endlist.rule.finding(
             "playlist is typed VOD but carries no EXT-X-ENDLIST; players "
             "will keep polling it for new segments",
-            scanned.doc.span_of_line(max(last, 1)),
-            line_text=scanned.doc.line_text(max(last, 1)) if last else "",
+            doc.span_of_line(max(last, 1)),
+            line_text=doc.line_text(max(last, 1)) if last else "",
         )
 
 
@@ -422,11 +430,11 @@ def check_endlist(scanned: ScannedPlaylist, ctx: RuleContext) -> Iterator[Findin
     reference="paper Section 4.1 (server-side practice 2)",
 )
 def check_track_bitrates(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     if not scanned.segments:
         return
-    if derived_segment_bitrates_kbps(scanned) is None:
+    if derived_bitrates_kbps(scanned.segments) is None:
         blind = next(
             s
             for s in scanned.segments
@@ -437,8 +445,8 @@ def check_track_bitrates(
             f"{blind.uri!r} carries neither EXT-X-BYTERANGE nor "
             "EXT-X-BITRATE, so players cannot budget each medium "
             "(Section 4.1)",
-            scanned.doc.span_of_line(blind.extinf_line),
-            line_text=scanned.doc.line_text(blind.extinf_line),
+            doc.span_of_line(blind.extinf_line),
+            line_text=doc.line_text(blind.extinf_line),
         )
 
 
@@ -452,11 +460,11 @@ def check_track_bitrates(
     fixable=True,
 )
 def check_bitrate_tag(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     if not scanned.segments:
         return
-    if derived_segment_bitrates_kbps(scanned) is None:
+    if derived_bitrates_kbps(scanned.segments) is None:
         return  # HLS-TRACK-BITRATES already covers the blind case
     has_byteranges = all(s.byterange is not None for s in scanned.segments)
     has_tags = all(s.bitrate_kbps is not None for s in scanned.segments)
@@ -465,8 +473,8 @@ def check_bitrate_tag(
         yield check_bitrate_tag.rule.finding(
             "bitrates derive only partially (mixed byte ranges and tags); "
             "emit EXT-X-BITRATE on every segment",
-            scanned.doc.span_of_line(partial.extinf_line),
-            line_text=scanned.doc.line_text(partial.extinf_line),
+            doc.span_of_line(partial.extinf_line),
+            line_text=doc.line_text(partial.extinf_line),
         )
 
 
@@ -484,7 +492,7 @@ def check_bitrate_tag(
     reference="RFC 8216 §4.3.4.1, §4.3.4.2",
 )
 def check_media_playlist_missing(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     if not ctx.has_media_playlists:
         return
@@ -495,8 +503,8 @@ def check_media_playlist_missing(
             yield check_media_playlist_missing.rule.finding(
                 f"rendition {rendition.name!r} points at {rendition.uri!r} "
                 "but no such media playlist is in the package",
-                scanned.doc.find_in_line(rendition.line, rendition.uri),
-                line_text=scanned.doc.line_text(rendition.line),
+                doc.find_in_line(rendition.line, rendition.uri),
+                line_text=doc.line_text(rendition.line),
             )
     for variant in scanned.variants:
         if not variant.uri:
@@ -507,8 +515,8 @@ def check_media_playlist_missing(
                 f"variant URI {variant.uri!r} resolves to no media playlist "
                 "in the package (neither directly nor via the "
                 "<video>.m3u8 convention)",
-                scanned.doc.span_of_line(line),
-                line_text=scanned.doc.line_text(line),
+                doc.span_of_line(line),
+                line_text=doc.line_text(line),
             )
 
 
@@ -522,7 +530,7 @@ def check_media_playlist_missing(
     fixable=True,
 )
 def check_bandwidth_consistent(
-    scanned: ScannedPlaylist, ctx: RuleContext
+    doc: Document, scanned: ScannedPlaylist, ctx: RuleContext
 ) -> Iterator[Finding]:
     if not ctx.has_media_playlists:
         return
@@ -538,8 +546,8 @@ def check_bandwidth_consistent(
                 f"variant {variant.uri!r} declares BANDWIDTH={declared} but "
                 f"its tracks' derived aggregate peak is ~{derived}; players "
                 "budget combinations from the declared value",
-                scanned.doc.find_in_line(variant.line, f"BANDWIDTH={declared}"),
-                line_text=scanned.doc.line_text(variant.line),
+                doc.find_in_line(variant.line, f"BANDWIDTH={declared}"),
+                line_text=doc.line_text(variant.line),
             )
 
 
@@ -548,7 +556,7 @@ def derived_variant_peak_bps(variant, ctx: RuleContext):
     video = ctx.resolve_variant_video(variant.uri)
     if video is None:
         return None
-    rates = derived_segment_bitrates_kbps(video)
+    rates = derived_bitrates_kbps(video.segments)
     if not rates:
         return None
     total_kbps = max(rates)
@@ -560,7 +568,7 @@ def derived_variant_peak_bps(variant, ctx: RuleContext):
         audio = ctx.resolve_rendition(f"{audio_id}.m3u8")
         if audio is None:
             return None
-        audio_rates = derived_segment_bitrates_kbps(audio)
+        audio_rates = derived_bitrates_kbps(audio.segments)
         if not audio_rates:
             return None
         total_kbps += max(audio_rates)
@@ -571,7 +579,7 @@ def derived_variant_average_bps(variant, ctx: RuleContext):
     """Aggregate (video + audio) average bps derived from media playlists."""
 
     def avg_kbps(scanned: ScannedPlaylist):
-        rates = derived_segment_bitrates_kbps(scanned)
+        rates = derived_bitrates_kbps(scanned.segments)
         if not rates:
             return None
         durations = [s.duration_s or 0.0 for s in scanned.segments]

@@ -12,9 +12,11 @@ Every check the analyzer can perform is a registered :class:`Rule` with
 * the document *kind* it applies to, so the engine only runs HLS rules
   on playlists, DASH rules on MPDs, and determinism rules on Python.
 
-Rules register themselves via the :func:`rule` decorator; the check
-function receives a parsed syntax view plus a :class:`RuleContext` and
-yields findings. Severity/enablement can be overridden per run through
+Rules register themselves via the :func:`rule` decorator; a manifest
+check receives the :class:`~repro.analysis.spans.Document`, the
+reader's view of it (a scanned playlist or an MPD element tree) and a
+:class:`RuleContext`, a code check the parsed module and the context;
+both yield findings. Severity/enablement can be overridden per run through
 :class:`repro.analysis.engine.AnalyzerConfig`.
 """
 

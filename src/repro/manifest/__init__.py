@@ -1,10 +1,13 @@
 """Manifest substrate: DASH MPD and HLS playlist models, writers, parsers.
 
-Manifest *linting* lives in :mod:`repro.analysis` (text-level, with
-source spans, SARIF output and a rule registry). The old object-level
-``repro.manifest.validate`` shim is gone; its rules live on in the
-analyzer under their original IDs (``repro-abr lint --manifest
-dash|hls`` lints a generated packaging).
+Each text format has one reader, and it lives here: the lenient,
+line-keeping playlist scan (:func:`repro.manifest.hls.scan_playlist`)
+and the position-keeping MPD tree (:func:`repro.manifest.dash.parse_xml`).
+The strict parsers below are checks over those readers' output, and
+manifest *linting* in :mod:`repro.analysis` (source spans, SARIF output,
+a rule registry; ``repro-abr lint --manifest dash|hls`` lints a
+generated packaging) consumes the same readers. This package never
+imports :mod:`repro.analysis`.
 """
 
 from .dash import (

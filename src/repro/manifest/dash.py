@@ -12,13 +12,20 @@ provide an *extension* element (``repro:AllowedCombinations``) that a
 server may embed; standard-compliant parsers ignore it, while the
 best-practices player honours it. This mirrors the paper's suggestion
 that "the DASH specification can be expanded to support this feature."
+
+MPD text has one reader, :func:`parse_xml`: expat into a small element
+tree (:class:`XmlElement`) that keeps the line and column of every
+element. The linter (:mod:`repro.analysis`) walks that tree directly;
+:func:`parse_mpd` walks it into the models. :func:`write_mpd` serializes
+with ElementTree.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ManifestError, ManifestParseError
 from ..media.content import Content
@@ -227,6 +234,9 @@ def _format_duration(seconds: float) -> str:
     return out
 
 
+_UNIT_SECONDS = {"H": 3600, "M": 60, "S": 1}
+
+
 def _parse_duration(text: str) -> float:
     """Parse the ISO 8601 durations :func:`_format_duration` emits."""
     if not text.startswith("PT"):
@@ -237,14 +247,13 @@ def _parse_duration(text: str) -> float:
     for char in remainder:
         if char.isdigit() or char == ".":
             number += char
-        elif char == "H":
-            seconds += float(number) * 3600
-            number = ""
-        elif char == "M":
-            seconds += float(number) * 60
-            number = ""
-        elif char == "S":
-            seconds += float(number)
+        elif char in _UNIT_SECONDS:
+            try:
+                seconds += float(number) * _UNIT_SECONDS[char]
+            except ValueError:
+                raise ManifestParseError(
+                    f"bad number {number!r} in duration {text!r}"
+                ) from None
             number = ""
         else:
             raise ManifestParseError(f"bad duration component {char!r} in {text!r}")
@@ -326,12 +335,118 @@ def write_mpd(manifest: DashManifest) -> str:
     )
 
 
+class XmlParseFailure(ManifestParseError):
+    """MPD text is not well-formed XML (1-based line/col as attributes)."""
+
+    def __init__(self, message: str, line: int = 0, col: int = 0) -> None:
+        super().__init__(message)
+        self.line = line
+        self.col = col
+
+
+@dataclass
+class XmlElement:
+    """One element with source position, attributes and children.
+
+    Tags and attribute names are ElementTree-style: ``{uri}local`` when
+    namespaced. :meth:`find`, :meth:`findall` and :meth:`iter` match a
+    ``{uri}local`` name exactly and a bare name by local name only.
+    """
+
+    tag: str  # "{namespace}local" or bare local name
+    line: int  # 1-based
+    col: int  # 1-based
+    attrib: Dict[str, str] = field(default_factory=dict)
+    children: List["XmlElement"] = field(default_factory=list)
+
+    @property
+    def local(self) -> str:
+        """Tag name without its namespace."""
+        return self.tag.rsplit("}", 1)[-1]
+
+    def _is(self, name: str) -> bool:
+        return self.tag == name if name.startswith("{") else self.local == name
+
+    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
+        return self.attrib.get(key, default)
+
+    def find(self, name: str) -> Optional["XmlElement"]:
+        for child in self.children:
+            if child._is(name):
+                return child
+        return None
+
+    def findall(self, name: str) -> List["XmlElement"]:
+        return [c for c in self.children if c._is(name)]
+
+    def iter(self, name: Optional[str] = None) -> Iterator["XmlElement"]:
+        if name is None or self._is(name):
+            yield self
+        for child in self.children:
+            yield from child.iter(name)
+
+
+_NS_SEPARATOR = "\x1f"  # illegal in XML names; safe namespace delimiter
+
+
+def parse_xml(text: str) -> XmlElement:
+    """Parse XML text into a position-annotated element tree."""
+    parser = xml.parsers.expat.ParserCreate(namespace_separator=_NS_SEPARATOR)
+    root: List[XmlElement] = []
+    stack: List[XmlElement] = []
+    tags: Dict[str, str] = {}
+
+    def to_tag(name: str) -> str:
+        tag = tags.get(name)
+        if tag is None:
+            uri, sep, local = name.partition(_NS_SEPARATOR)
+            tag = tags[name] = f"{{{uri}}}{local}" if sep else name
+        return tag
+
+    def start(name: str, attrs: Dict[str, str]) -> None:
+        if _NS_SEPARATOR in "".join(attrs):
+            attrs = {to_tag(k): v for k, v in attrs.items()}
+        element = XmlElement(
+            to_tag(name),
+            parser.CurrentLineNumber,
+            parser.CurrentColumnNumber + 1,
+            attrs,
+        )
+        (stack[-1].children if stack else root).append(element)
+        stack.append(element)
+
+    def end(_name: str) -> None:
+        stack.pop()
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    try:
+        parser.Parse(text, True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise XmlParseFailure(
+            f"invalid XML: {exc}", line=exc.lineno or 0, col=exc.offset or 0
+        ) from exc
+    if not root:
+        raise XmlParseFailure("document has no root element")
+    return root[0]
+
+
+def _int(element: XmlElement, key: str) -> Optional[int]:
+    """An integer attribute; ``None`` when absent or empty."""
+    raw = element.get(key)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ManifestParseError(
+            f"{element.local} @{key}={raw!r} is not an integer"
+        ) from None
+
+
 def parse_mpd(text: str) -> DashManifest:
     """Parse MPD XML text back into a :class:`DashManifest`."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ManifestParseError(f"invalid MPD XML: {exc}") from exc
+    root = parse_xml(text)
     if root.tag != f"{{{MPD_NS}}}MPD":
         raise ManifestParseError(f"root element is {root.tag}, expected MPD")
     duration_attr = root.get("mediaPresentationDuration")
@@ -388,25 +503,19 @@ def parse_mpd(text: str) -> DashManifest:
         reps: List[DashRepresentation] = []
         for rep_el in aset_el.findall(f"{{{MPD_NS}}}Representation"):
             rep_id = rep_el.get("id")
-            bandwidth = rep_el.get("bandwidth")
+            bandwidth = _int(rep_el, "bandwidth")
             if rep_id is None or bandwidth is None:
                 raise ManifestParseError("Representation lacks id or bandwidth")
-            channels: Optional[int] = None
             chan_el = rep_el.find(f"{{{MPD_NS}}}AudioChannelConfiguration")
-            if chan_el is not None and chan_el.get("value"):
-                channels = int(chan_el.get("value"))
-            sampling = rep_el.get("audioSamplingRate")
-            width = rep_el.get("width")
-            height = rep_el.get("height")
             reps.append(
                 DashRepresentation(
                     rep_id=rep_id,
-                    bandwidth_bps=int(bandwidth),
+                    bandwidth_bps=bandwidth,
                     codecs=rep_el.get("codecs", ""),
-                    width=int(width) if width else None,
-                    height=int(height) if height else None,
-                    audio_channels=channels,
-                    audio_sampling_rate_hz=int(sampling) if sampling else None,
+                    width=_int(rep_el, "width"),
+                    height=_int(rep_el, "height"),
+                    audio_channels=None if chan_el is None else _int(chan_el, "value"),
+                    audio_sampling_rate_hz=_int(rep_el, "audioSamplingRate"),
                 )
             )
         asets.append(

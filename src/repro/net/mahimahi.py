@@ -75,12 +75,14 @@ def save_mahimahi(trace: BandwidthTrace, path: str, duration_s: float = 0.0) -> 
     each segment emits evenly spaced deliveries at its rate.
     """
     total_s = duration_s or trace.period_s
+    cursor = trace.cursor()
     timestamps: List[int] = []
     t = 0.0
     credit_bits = 0.0
     while t < total_s:
-        horizon = min(trace.next_change_after(t), total_s)
-        rate_bps = trace.bandwidth_at(t) * 1000.0
+        kbps, change = cursor.rate_and_next_change(t)
+        horizon = min(change, total_s)
+        rate_bps = kbps * 1000.0
         span = horizon - t
         credit_bits += rate_bps * span
         n_packets = int(credit_bits // BITS_PER_PACKET)

@@ -460,32 +460,6 @@ class Session:
 
     # -- state helpers ----------------------------------------------------
 
-    def _lane(self, medium: MediaType) -> _MediumLane:
-        return self._video if medium is MediaType.VIDEO else self._audio
-
-    @property
-    def completed(self) -> Dict[MediaType, int]:
-        """Chunks fully downloaded per medium (read-only snapshot)."""
-        return {
-            MediaType.VIDEO: self._video.completed,
-            MediaType.AUDIO: self._audio.completed,
-        }
-
-    @property
-    def active(self) -> Dict[MediaType, Optional[ActiveDownload]]:
-        """In-flight download per medium (read-only snapshot)."""
-        return {
-            MediaType.VIDEO: self._video.active,
-            MediaType.AUDIO: self._audio.active,
-        }
-
-    def buffer_level_s(self, medium: MediaType) -> float:
-        level = (
-            self._lane(medium).completed * self._chunk_s
-            - self.playback.position_s
-        )
-        return level if level > 0.0 else 0.0
-
     def chunk_available_at(self, index: int) -> float:
         """Wall time at which chunk ``index`` becomes requestable."""
         if self.config.live_offset_s is None:

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.errors import ManifestError, ManifestParseError
+from repro.manifest.dash import parse_mpd, write_mpd
 from repro.manifest.hls import (
     HlsMasterPlaylist,
     HlsMediaPlaylist,
     HlsRendition,
     HlsSegment,
     HlsVariant,
-    _parse_attributes,
+    parse_attribute_list,
     parse_master_playlist,
     parse_media_playlist,
     write_master_playlist,
@@ -19,24 +20,99 @@ from repro.manifest.hls import (
 
 class TestAttributeParser:
     def test_simple(self):
-        assert _parse_attributes("BANDWIDTH=253000") == {"BANDWIDTH": "253000"}
+        assert parse_attribute_list("BANDWIDTH=253000") == (
+            {"BANDWIDTH": "253000"},
+            [],
+        )
 
     def test_quoted_value_with_comma(self):
-        attrs = _parse_attributes('CODECS="avc1.640028,mp4a.40.2",BANDWIDTH=100')
+        attrs, problems = parse_attribute_list(
+            'CODECS="avc1.640028,mp4a.40.2",BANDWIDTH=100'
+        )
         assert attrs["CODECS"] == "avc1.640028,mp4a.40.2"
         assert attrs["BANDWIDTH"] == "100"
+        assert problems == []
 
     def test_multiple(self):
-        attrs = _parse_attributes('TYPE=AUDIO,GROUP-ID="audio",NAME="A1"')
+        attrs, problems = parse_attribute_list('TYPE=AUDIO,GROUP-ID="audio",NAME="A1"')
         assert attrs == {"TYPE": "AUDIO", "GROUP-ID": "audio", "NAME": "A1"}
+        assert problems == []
 
     def test_unterminated_quote(self):
+        _, problems = parse_attribute_list('NAME="oops')
+        assert problems == ["unterminated quote in attribute list: 'NAME=\"oops'"]
         with pytest.raises(ManifestParseError):
-            _parse_attributes('NAME="oops')
+            parse_master_playlist('#EXTM3U\n#EXT-X-STREAM-INF:NAME="oops\nv.m3u8\n')
 
     def test_key_without_value(self):
+        attrs, problems = parse_attribute_list("KEYONLY,X=1")
+        assert attrs == {"X": "1"}
+        assert problems == ["attribute 'KEYONLY' has no value"]
         with pytest.raises(ManifestParseError):
-            _parse_attributes("KEYONLY,X=1")
+            parse_master_playlist(
+                "#EXTM3U\n#EXT-X-STREAM-INF:KEYONLY,BANDWIDTH=1\nv.m3u8\n"
+            )
+
+    @pytest.mark.parametrize(
+        "text, attrs, problems",
+        [
+            ('A"B,C=1', {"C": "1"}, ["attribute 'A\"B' has no value"]),
+            ("X=a=b", {"X": "a=b"}, []),
+            ('X="a"b"c,d",Y=2', {"X": 'a"b"c,d', "Y": "2"}, []),
+            (' K = " v " , ,L=', {"K": " v ", "L": ""}, []),
+            (
+                'N="a,b',
+                {"N": "a,b,"},
+                ["unterminated quote in attribute list: 'N=\"a,b'"],
+            ),
+        ],
+    )
+    def test_grammar_edges(self, text, attrs, problems):
+        # Quotes open only inside a value; an unclosed one runs to the end.
+        assert parse_attribute_list(text) == (attrs, problems)
+
+
+_MASTER = "#EXTM3U\n#EXT-X-VERSION:6\n#EXT-X-STREAM-INF:BANDWIDTH=100\nv.m3u8\n"
+_MEDIA = (
+    "#EXTM3U\n#EXT-X-TARGETDURATION:5\n#EXT-X-BITRATE:800\n#EXTINF:5.0,\n"
+    "#EXT-X-BYTERANGE:100@0\nf.mp4\n#EXT-X-ENDLIST\n"
+)
+
+
+def _mpd_with(old, new, manifest):
+    text = write_mpd(manifest)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_master_playlist, _MASTER.replace("VERSION:6", "VERSION:x")),
+        (parse_master_playlist, _MASTER.replace("BANDWIDTH=100", "BANDWIDTH=abc")),
+        (parse_media_playlist, _MEDIA.replace("EXTINF:5.0,", "EXTINF:abc,")),
+        (parse_media_playlist, _MEDIA.replace("BYTERANGE:100@0", "BYTERANGE:zz@0")),
+        (parse_media_playlist, _MEDIA.replace("BITRATE:800", "BITRATE:fast")),
+        (parse_mpd, (' bandwidth="', ' bandwidth="x')),
+        (parse_mpd, (' width="', ' width="w')),
+        (parse_mpd, ('Duration="PT5M', 'Duration="PTM')),
+    ],
+    ids=[
+        "master-version",
+        "master-bandwidth",
+        "media-extinf",
+        "media-byterange",
+        "media-bitrate",
+        "mpd-bandwidth",
+        "mpd-width",
+        "mpd-duration",
+    ],
+)
+def test_malformed_number_raises_parse_error(parse, text, dash_manifest):
+    if isinstance(text, tuple):
+        text = _mpd_with(*text, dash_manifest)
+    with pytest.raises(ManifestParseError):
+        parse(text)
 
 
 class TestModelValidation:
