@@ -20,7 +20,7 @@ verdict) before the timing is accepted: a kernel that got fast by
 dropping work does not count.
 """
 
-from repro.experiments.corpus import drama_show
+from repro.media.content import drama_show
 from repro.net.link import SeparatePaths, shared
 from repro.net.resilience import ResilienceModel, RetryPolicy
 from repro.net.traces import random_walk

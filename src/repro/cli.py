@@ -629,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--player",
         default="recommended",
-        choices=["exoplayer-dash", "exoplayer-hls", "shaka", "dashjs", "recommended"],
+        choices=PLAYER_NAMES,
     )
     sim_parser.add_argument("--bandwidth", type=float, default=1000.0, help="kbps")
     sim_parser.add_argument(

@@ -18,34 +18,20 @@ how much head-room remains *above* the practices themselves.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-from ..core.bola_joint import JointBolaPlayer
-from ..core.chunk_aware import ChunkAwarePlayer
 from ..core.combinations import hsub_combinations
-from ..core.mpc import MpcPlayer
-from ..core.player import RecommendedPlayer
-from ..manifest.packager import package_hls
-from ..media.content import drama_show
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.markov import hspa_preset
-from ..net.traces import constant
 from ..qoe.metrics import compute_qoe
-from ..sim.session import simulate
-from .base import ExperimentReport, register
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
+#: The four practice-compliant algorithms, each over H_sub.
+ALGORITHMS = ("recommended", "chunk-aware", "mpc", "bola-joint")
 
-def practice_players(content) -> Dict[str, Callable]:
-    """Factories for the four practice-compliant algorithms."""
-    hsub = hsub_combinations(content)
-    package = package_hls(content, combinations=hsub)
-    return {
-        "recommended": lambda: RecommendedPlayer(hsub),
-        "chunk-aware": lambda: ChunkAwarePlayer.from_hls_package(hsub, package),
-        "mpc": lambda: MpcPlayer(hsub),
-        "bola-joint": lambda: JointBolaPlayer(hsub),
-    }
+PROFILES = {
+    "700 kbps": TraceSpec.constant(700.0),
+    "2 Mbps": TraceSpec.constant(2000.0),
+    "hspa": TraceSpec.hspa(5),
+}
 
 
 @register("algorithms")
@@ -67,41 +53,37 @@ def run_algorithms() -> ExperimentReport:
             "QoE",
         ),
     )
-    content = drama_show()
-    hsub = hsub_combinations(content)
-    allowed = set(hsub.names)
-    profiles = {
-        "700 kbps": lambda: shared(constant(700.0)),
-        "2 Mbps": lambda: shared(constant(2000.0)),
-        "hspa": lambda: shared(hspa_preset(seed=5)),
-    }
+    grid = [(profile, algo) for profile in PROFILES for algo in ALGORITHMS]
+    results, runner = run_grid(
+        report,
+        [
+            SimulationJob(player=PlayerSpec(algo), trace=PROFILES[profile])
+            for profile, algo in grid
+        ],
+    )
+    content = runner.content()
+    allowed = set(hsub_combinations(content).names)
     violations = []
     imbalance_violations = []
-    rebuffer_by_algo: Dict[str, float] = {}
-    for profile_name, make_network in profiles.items():
-        for algo_name, make_player in practice_players(content).items():
-            result = simulate(content, make_player(), make_network())
-            qoe = compute_qoe(result, content)
-            report.rows.append(
-                (
-                    profile_name,
-                    algo_name,
-                    round(result.time_weighted_bitrate_kbps(MediaType.VIDEO)),
-                    round(result.time_weighted_bitrate_kbps(MediaType.AUDIO)),
-                    round(result.total_rebuffer_s, 1),
-                    qoe.video_switches + qoe.audio_switches,
-                    round(qoe.score, 1),
-                )
+    for (profile_name, algo_name), result in zip(grid, results):
+        qoe = compute_qoe(result, content)
+        report.rows.append(
+            (
+                profile_name,
+                algo_name,
+                round(result.time_weighted_bitrate_kbps(MediaType.VIDEO)),
+                round(result.time_weighted_bitrate_kbps(MediaType.AUDIO)),
+                round(result.total_rebuffer_s, 1),
+                qoe.video_switches + qoe.audio_switches,
+                round(qoe.score, 1),
             )
-            if not set(result.combination_names()) <= allowed:
-                violations.append((profile_name, algo_name))
-            if result.max_buffer_imbalance_s() > content.chunk_duration_s + 1e-6:
-                imbalance_violations.append((profile_name, algo_name))
-            if qoe.undesirable_chunks:
-                violations.append((profile_name, algo_name, "undesirable"))
-            rebuffer_by_algo[algo_name] = (
-                rebuffer_by_algo.get(algo_name, 0.0) + result.total_rebuffer_s
-            )
+        )
+        if not set(result.combination_names()) <= allowed:
+            violations.append((profile_name, algo_name))
+        if result.max_buffer_imbalance_s() > content.chunk_duration_s + 1e-6:
+            imbalance_violations.append((profile_name, algo_name))
+        if qoe.undesirable_chunks:
+            violations.append((profile_name, algo_name, "undesirable"))
 
     report.check(
         "every algorithm selects only allowed combinations on every profile",

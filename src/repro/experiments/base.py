@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..runner import GridRunner
+
 
 @dataclass
 class Check:
@@ -116,6 +118,19 @@ class ExperimentReport:
             lines.append(str(check))
         lines.append(f"=> {self.status}")
         return "\n".join(lines)
+
+
+def run_grid(report: ExperimentReport, jobs: Sequence) -> Tuple[List, GridRunner]:
+    """Run an experiment's jobs on a fresh :class:`~repro.runner.GridRunner`.
+
+    Records the runner's provenance in ``report.params`` and returns the
+    results in job order plus the runner, whose ``content()`` serves the
+    same built titles the sessions ran on.
+    """
+    runner = GridRunner()
+    results = runner.results(jobs)
+    report.params["runner"] = runner.params()
+    return results, runner
 
 
 def _compact_timeline(points: Sequence[Tuple[float, str]]) -> str:

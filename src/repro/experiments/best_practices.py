@@ -21,20 +21,12 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..core.combinations import all_combinations, hsub_combinations
-from ..core.player import RecommendedPlayer
-from ..manifest.packager import package_dash, package_hls
-from ..media.content import drama_show
+from ..core.combinations import hsub_combinations
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.traces import constant
-from ..players.dashjs import DashJsPlayer
-from ..players.exoplayer import ExoPlayerHls
-from ..players.shaka import ShakaPlayer
 from ..qoe.metrics import compute_qoe
-from ..sim.session import simulate
-from .base import ExperimentReport, register
-from .traces import fig3_trace
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
+from .traces import fig3_spec
 
 _HEADER = (
     "Scenario",
@@ -48,6 +40,8 @@ _HEADER = (
     "Undesirable",
     "QoE",
 )
+
+RECOMMENDED = PlayerSpec("recommended")
 
 
 def _row(scenario, name, content, result) -> Tuple:
@@ -77,19 +71,40 @@ def run_best_practices() -> ExperimentReport:
         ),
         header=_HEADER,
     )
-    content = drama_show()
+    # Each measured player on its own failure scenario, then the
+    # recommended player on the same link.
+    scenarios = (
+        (
+            "fig3",
+            "exoplayer-hls",
+            PlayerSpec("exoplayer-hls", audio_order=("A3", "A2", "A1")),
+            fig3_spec(),
+        ),
+        (
+            "fig4a",
+            "shaka",
+            PlayerSpec("shaka", combinations="all"),
+            TraceSpec.constant(1000.0),
+        ),
+        ("fig5", "dashjs", PlayerSpec("dashjs"), TraceSpec.constant(700.0)),
+    )
+    jobs = []
+    for _, _, player, trace in scenarios:
+        jobs.append(SimulationJob(player=player, trace=trace))
+        jobs.append(SimulationJob(player=RECOMMENDED, trace=trace))
+    results, runner = run_grid(report, jobs)
+    content = runner.content()
     hsub = hsub_combinations(content)
+    for (scenario, name, _, _), measured, recommended in zip(
+        scenarios, results[::2], results[1::2]
+    ):
+        report.rows.append(_row(scenario, name, content, measured))
+        report.rows.append(_row(scenario, "recommended", content, recommended))
+    exo_result, rec_result, shaka_result, rec2_result, dashjs_result, rec3_result = (
+        results
+    )
 
     # -- scenario 1: the ExoPlayer-HLS stall storm (Fig. 3 trace) ---------
-    trace = fig3_trace()
-    exo = ExoPlayerHls(
-        package_hls(content, combinations=hsub, audio_order=["A3", "A2", "A1"]).master
-    )
-    exo_result = simulate(content, exo, shared(trace))
-    rec = RecommendedPlayer(hsub)
-    rec_result = simulate(content, rec, shared(fig3_trace()))
-    report.rows.append(_row("fig3", "exoplayer-hls", content, exo_result))
-    report.rows.append(_row("fig3", "recommended", content, rec_result))
     report.check(
         "audio adaptation eliminates (or nearly eliminates) the rebuffering",
         rec_result.total_rebuffer_s <= exo_result.total_rebuffer_s * 0.25,
@@ -104,12 +119,6 @@ def run_best_practices() -> ExperimentReport:
     )
 
     # -- scenario 2: the Shaka dead estimator (Fig. 4a link) --------------
-    shaka = ShakaPlayer.from_hls(package_hls(content).master)
-    shaka_result = simulate(content, shaka, shared(constant(1000.0)))
-    rec2 = RecommendedPlayer(hsub)
-    rec2_result = simulate(content, rec2, shared(constant(1000.0)))
-    report.rows.append(_row("fig4a", "shaka", content, shaka_result))
-    report.rows.append(_row("fig4a", "recommended", content, rec2_result))
     rec2_estimates = [e.kbps for e in rec2_result.estimate_timeline]
     report.check(
         "pooled estimator sees the real ~1000 kbps link (Shaka saw 500)",
@@ -127,12 +136,6 @@ def run_best_practices() -> ExperimentReport:
     )
 
     # -- scenario 3: the dash.js imbalance/undesirable combos (Fig. 5) ----
-    dashjs = DashJsPlayer(package_dash(content))
-    dashjs_result = simulate(content, dashjs, shared(constant(700.0)))
-    rec3 = RecommendedPlayer(hsub)
-    rec3_result = simulate(content, rec3, shared(constant(700.0)))
-    report.rows.append(_row("fig5", "dashjs", content, dashjs_result))
-    report.rows.append(_row("fig5", "recommended", content, rec3_result))
     rec3_qoe = compute_qoe(rec3_result, content)
     dashjs_qoe = compute_qoe(dashjs_result, content)
     report.check(
@@ -175,20 +178,19 @@ def run_ablations() -> ExperimentReport:
         ),
         header=_HEADER,
     )
-    content = drama_show()
-    hsub = hsub_combinations(content)
-    link_kbps = 700.0
-
     variants = {
-        "full": RecommendedPlayer(hsub),
-        "no-balance": RecommendedPlayer(hsub, balanced=False, buffer_target_s=30.0),
-        "split-meter": RecommendedPlayer(hsub, shared_meter=False),
-        "all-combos": RecommendedPlayer(all_combinations(content)),
+        "full": RECOMMENDED,
+        "no-balance": PlayerSpec("recommended", balanced=False),
+        "split-meter": PlayerSpec("recommended", shared_meter=False),
+        "all-combos": PlayerSpec("recommended", combinations="all"),
     }
-    results = {}
-    for name, player in variants.items():
-        results[name] = simulate(content, player, shared(constant(link_kbps)))
-        report.rows.append(_row("700 kbps", name, content, results[name]))
+    link = TraceSpec.constant(700.0)
+    jobs = [SimulationJob(player=player, trace=link) for player in variants.values()]
+    grid, runner = run_grid(report, jobs)
+    content = runner.content()
+    results = dict(zip(variants, grid))
+    for name, result in results.items():
+        report.rows.append(_row("700 kbps", name, content, result))
 
     full = results["full"]
     report.check(

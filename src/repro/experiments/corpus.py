@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..media.content import drama_show
 from ..qoe.aggregate import QoEAggregate
 from ..qoe.metrics import compute_qoe
-from ..runner import GridRunner, PlayerSpec, SimulationJob, TraceSpec
-from .base import ExperimentReport, register
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
 N_TRACES = 12
 
@@ -60,25 +59,21 @@ def run_corpus() -> ExperimentReport:
             "Undesirable",
         ),
     )
-    content = drama_show()
-    grid = [
-        (seed, name) for seed in range(N_TRACES) for name in PLAYER_SPECS
-    ]
-    runner = GridRunner()
+    grid = [(seed, name) for seed in range(N_TRACES) for name in PLAYER_SPECS]
     jobs = [
         SimulationJob(
             player=PLAYER_SPECS[name], trace=TraceSpec.hspa(seed), seed=seed
         )
         for seed, name in grid
     ]
-    results = runner.results(jobs)
+    results, runner = run_grid(report, jobs)
+    content = runner.content()
 
     aggregates: Dict[str, QoEAggregate] = {
         name: QoEAggregate() for name in PLAYER_SPECS
     }
     for (seed, name), result in zip(grid, results):
         aggregates[name].add(compute_qoe(result, content))
-    report.params["runner"] = runner.params()
 
     for name, aggregate in aggregates.items():
         summary = aggregate.summary()

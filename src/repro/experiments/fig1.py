@@ -14,14 +14,9 @@ depicts plus the two Section-1 advantages of demuxed storage:
 
 from __future__ import annotations
 
-from ..core.combinations import hsub_combinations
-from ..core.player import RecommendedPlayer
-from ..media.content import drama_show
-from ..net.link import shared
 from ..net.server import CdnCache, OriginServer
-from ..net.traces import constant
-from ..sim.session import simulate
-from .base import ExperimentReport, register
+from ..runner import SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
 
 @register("fig1")
@@ -35,11 +30,11 @@ def run_fig1() -> ExperimentReport:
         ),
         header=("Mode", "Origin storage (Gb)", "User-B video cache hit ratio"),
     )
-    content = drama_show()
-
     # 1. Per-position selection over demuxed tracks.
-    player = RecommendedPlayer(hsub_combinations(content))
-    result = simulate(content, player, shared(constant(1500.0)))
+    (result,), runner = run_grid(
+        report, [SimulationJob(trace=TraceSpec.constant(1500.0))]
+    )
+    content = runner.content()
     picks = result.selected_combinations()
     report.note(
         "per-position (video, audio) picks, first 8: "

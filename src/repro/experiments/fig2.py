@@ -15,26 +15,24 @@ and a 900 kbps fixed link:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Tuple
+from typing import List, Tuple
 
-from ..manifest.packager import package_dash
-from ..media.content import b_audio_ladder, c_audio_ladder, drama_show
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.traces import constant
-from ..players.exoplayer import ExoPlayerDash
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from ..sim.records import SessionResult
-from ..sim.session import simulate
-from .base import ExperimentReport, register
+from .base import ExperimentReport, register, run_grid
 
 BANDWIDTH_KBPS = 900.0
+EXOPLAYER_DASH = PlayerSpec("exoplayer-dash")
 
 
-def _run(audio_ladder, steady_from_s: float = 60.0) -> Tuple[ExoPlayerDash, SessionResult]:
-    content = drama_show().with_audio(audio_ladder)
-    player = ExoPlayerDash(package_dash(content))
-    result = simulate(content, player, shared(constant(BANDWIDTH_KBPS)))
-    return player, result
+def _run(report: ExperimentReport, audio_set: str) -> Tuple[List[str], SessionResult]:
+    """Predetermined combinations and the session for one audio set."""
+    content = ContentSpec(f"drama-{audio_set}")
+    job = SimulationJob(content, EXOPLAYER_DASH, TraceSpec.constant(BANDWIDTH_KBPS))
+    (result,), runner = run_grid(report, [job])
+    # Building the player packages the MPD; no simulation is needed.
+    return EXOPLAYER_DASH.build(runner.content(content)).combination_names, result
 
 
 def _steady_state_combo(result: SessionResult) -> str:
@@ -45,17 +43,13 @@ def _steady_state_combo(result: SessionResult) -> str:
 
 
 def _series_from(result: SessionResult, content_chunk_s: float) -> dict:
-    video = [
-        (r.completed_at, r.size_bits / content_chunk_s / 1000.0)
-        for r in result.downloads
-        if r.medium is MediaType.VIDEO
-    ]
-    audio = [
-        (r.completed_at, r.size_bits / content_chunk_s / 1000.0)
-        for r in result.downloads
-        if r.medium is MediaType.AUDIO
-    ]
-    return {"video_kbps": video, "audio_kbps": audio}
+    return {
+        f"{medium.value}_kbps": [
+            (r.completed_at, r.size_bits / content_chunk_s / 1000.0)
+            for r in result.downloads_of(medium)
+        ]
+        for medium in (MediaType.VIDEO, MediaType.AUDIO)
+    }
 
 
 @register("fig2a")
@@ -69,8 +63,7 @@ def run_fig2a() -> ExperimentReport:
             "declared, below the link); V3+B3 is not in the predetermined set"
         ),
     )
-    player, result = _run(b_audio_ladder())
-    combos = player.combination_names
+    combos, result = _run(report, "b")
     report.note(f"predetermined combinations: {combos}")
     report.check(
         "predetermined combinations match Section 3.2",
@@ -108,8 +101,7 @@ def run_fig2b() -> ExperimentReport:
             "V3+C1 (473+196) would be better but is not predetermined"
         ),
     )
-    player, result = _run(c_audio_ladder())
-    combos = player.combination_names
+    combos, result = _run(report, "c")
     report.note(f"predetermined combinations: {combos}")
     report.check(
         "predetermined combinations match Section 3.2",

@@ -16,15 +16,17 @@ Section 3.2's two HLS experiments over the curated H_sub playlist:
 from __future__ import annotations
 
 from ..core.combinations import hsub_combinations
-from ..manifest.packager import package_hls
-from ..media.content import drama_show
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.traces import constant
-from ..players.exoplayer import ExoPlayerHls
-from ..sim.session import simulate
-from .base import ExperimentReport, register
-from .traces import fig3_trace
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
+from .traces import fig3_spec
+
+
+def _run(report: ExperimentReport, audio_order, trace: TraceSpec):
+    """ExoPlayer-HLS over the H_sub master listing ``audio_order``."""
+    exo = PlayerSpec("exoplayer-hls", audio_order=audio_order)
+    (result,), runner = run_grid(report, [SimulationJob(player=exo, trace=trace)])
+    return result, runner
 
 
 @register("fig3")
@@ -38,14 +40,7 @@ def run_fig3() -> ExperimentReport:
             "combinations outside the H_sub subset (e.g. V1+A3) get used"
         ),
     )
-    content = drama_show()
-    hsub = hsub_combinations(content)
-    package = package_hls(
-        content, combinations=hsub, audio_order=["A3", "A2", "A1"]
-    )
-    player = ExoPlayerHls(package.master)
-    trace = fig3_trace()
-    result = simulate(content, player, shared(trace))
+    result, runner = _run(report, ("A3", "A2", "A1"), fig3_spec())
 
     audio_tracks = set(result.track_usage(MediaType.AUDIO))
     report.note(f"audio tracks used: {sorted(audio_tracks)}")
@@ -61,6 +56,7 @@ def run_fig3() -> ExperimentReport:
         detail=f"{result.total_rebuffer_s:.1f} s",
     )
     used = set(result.combination_names())
+    hsub = hsub_combinations(runner.content())
     outside = sorted(used - set(hsub.names))
     report.note(f"combinations used: {sorted(used)}; outside H_sub: {outside}")
     report.check(
@@ -89,14 +85,7 @@ def run_fig3_a1_first() -> ExperimentReport:
             "available network bandwidth, leading to unnecessarily poor audio QoE"
         ),
     )
-    content = drama_show()
-    package = package_hls(
-        content,
-        combinations=hsub_combinations(content),
-        audio_order=["A1", "A2", "A3"],
-    )
-    player = ExoPlayerHls(package.master)
-    result = simulate(content, player, shared(constant(5000.0)))
+    result, _ = _run(report, ("A1", "A2", "A3"), TraceSpec.constant(5000.0))
 
     audio_tracks = set(result.track_usage(MediaType.AUDIO))
     report.note(f"audio tracks used: {sorted(audio_tracks)}")

@@ -15,14 +15,27 @@
 
 from __future__ import annotations
 
-from ..manifest.packager import package_hls
-from ..media.content import drama_show
-from ..net.link import shared
-from ..net.traces import constant
-from ..players.shaka import ShakaPlayer
-from ..sim.session import simulate
-from .base import ExperimentReport, register
-from .traces import fig4b_trace
+from ..players.estimators import ShakaEstimator
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..sim.records import SessionResult
+from .base import ExperimentReport, register, run_grid
+from .traces import fig4b_spec
+
+
+def _run(report: ExperimentReport, trace: TraceSpec) -> SessionResult:
+    """Shaka over the H_all master (all 18 combinations)."""
+    shaka = PlayerSpec("shaka", combinations="all")
+    (result,), _ = run_grid(report, [SimulationJob(player=shaka, trace=trace)])
+    return result
+
+
+def sample_filter_counts(result: SessionResult) -> ShakaEstimator:
+    """A fresh Shaka estimator fed the session's downloads in order: its
+    filter counts are the live player's, read off a result alone."""
+    estimator = ShakaEstimator()
+    for record in result.downloads:
+        estimator.observe_download(record)
+    return estimator
 
 
 @register("fig4a")
@@ -36,20 +49,18 @@ def run_fig4a() -> ExperimentReport:
             "V2+A2 (460 kbps aggregate peak) is selected"
         ),
     )
-    content = drama_show()
-    package = package_hls(content)  # all 18 combinations = H_all
-    player = ShakaPlayer.from_hls(package.master)
-    result = simulate(content, player, shared(constant(1000.0)))
+    result = _run(report, TraceSpec.constant(1000.0))
+    samples = sample_filter_counts(result)
 
     estimates = [e.kbps for e in result.estimate_timeline]
     report.note(
         f"estimate range: [{min(estimates):.0f}, {max(estimates):.0f}] kbps; "
-        f"valid samples: {player.estimator.valid_samples}, "
-        f"discarded: {player.estimator.discarded_samples}"
+        f"valid samples: {samples.valid_samples}, "
+        f"discarded: {samples.discarded_samples}"
     )
     report.check(
         "no throughput sample ever passes the 16 KB filter",
-        player.estimator.valid_samples == 0,
+        samples.valid_samples == 0,
     )
     report.check(
         "estimate pinned at the 500 kbps default",
@@ -77,10 +88,7 @@ def run_fig4b() -> ExperimentReport:
             "initially low (V2+A2) then overly high (V3+A3); ~39 s rebuffering"
         ),
     )
-    content = drama_show()
-    package = package_hls(content)
-    player = ShakaPlayer.from_hls(package.master)
-    result = simulate(content, player, shared(fig4b_trace()))
+    result = _run(report, fig4b_spec())
 
     estimates = result.estimate_timeline
     early = [e.kbps for e in estimates if e.t < 30]

@@ -9,15 +9,10 @@ buffer levels for audio and video can be unbalanced."
 
 from __future__ import annotations
 
-from ..manifest.packager import package_dash
-from ..media.content import drama_show
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.traces import constant
-from ..players.dashjs import DashJsPlayer
 from ..qoe.metrics import is_undesirable
-from ..sim.session import simulate
-from .base import ExperimentReport, register
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
 BANDWIDTH_KBPS = 700.0
 
@@ -34,9 +29,11 @@ def run_fig5() -> ExperimentReport:
             "and video buffer levels become unbalanced"
         ),
     )
-    content = drama_show()
-    player = DashJsPlayer(package_dash(content))
-    result = simulate(content, player, shared(constant(BANDWIDTH_KBPS)))
+    job = SimulationJob(
+        player=PlayerSpec("dashjs"), trace=TraceSpec.constant(BANDWIDTH_KBPS)
+    )
+    (result,), runner = run_grid(report, [job])
+    content = runner.content()
 
     combos = set(result.combination_names())
     report.note(f"combinations used: {sorted(combos)}")

@@ -14,18 +14,17 @@ bandwidth profile oscillating in that band and counts real switches.
 
 from __future__ import annotations
 
-from ..manifest.packager import package_hls
-from ..media.content import drama_show
 from ..media.tracks import MediaType
-from ..players.shaka import ShakaPlayer
-from ..runner import GridRunner, PlayerSpec, SimulationJob, TraceSpec
-from .base import ExperimentReport, register
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
 PAPER_FLUCTUATION_SET = {"V1+A2", "V2+A1", "V2+A2", "V1+A3", "V2+A3"}
 
 #: The end-to-end link: oscillates inside the band where the paper's
 #: five combinations sit within 150 kbps of each other.
 E2E_TRACE_PAIRS = ((10, 2400), (10, 1200), (10, 2000), (10, 1500))
+
+SHAKA_H_ALL = PlayerSpec("shaka", combinations="all")
 
 
 @register("fluctuation")
@@ -39,9 +38,15 @@ def run_fluctuation() -> ExperimentReport:
             "among V1+A2, V2+A1, V2+A2, V1+A3, V2+A3 (318/395/460/510/652 kbps)"
         ),
     )
-    content = drama_show()
-    package = package_hls(content)
-    player = ShakaPlayer.from_hls(package.master)
+    # End-to-end: oscillate the link inside the band; because many
+    # combinations sit within 150 kbps of each other, the selection
+    # switches often even though the link is only mildly variable.
+    (result,), runner = run_grid(
+        report,
+        [SimulationJob(player=SHAKA_H_ALL, trace=TraceSpec.pairs(E2E_TRACE_PAIRS))],
+    )
+    # The rule itself, on a player built over the same title.
+    player = SHAKA_H_ALL.build(runner.content())
 
     # Sweep estimates across the band. The paper's five combinations
     # have requirements 318-652 kbps; estimates must exceed the lowest
@@ -66,21 +71,6 @@ def run_fluctuation() -> ExperimentReport:
         == [253, 318, 395, 460, 510, 652],
     )
 
-    # End-to-end: oscillate the link inside the band; because many
-    # combinations sit within 150 kbps of each other, the selection
-    # switches often even though the link is only mildly variable.
-    # This single session rides the runner too, so it caches and
-    # parallelizes alongside the grid experiments.
-    runner = GridRunner()
-    (result,) = runner.results(
-        [
-            SimulationJob(
-                player=PlayerSpec("shaka", combinations="all"),
-                trace=TraceSpec.pairs(E2E_TRACE_PAIRS),
-            )
-        ]
-    )
-    report.params["runner"] = runner.params()
     switches = result.switch_count(MediaType.VIDEO) + result.switch_count(
         MediaType.AUDIO
     )

@@ -25,17 +25,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core.combinations import hsub_combinations
-from ..core.player import RecommendedPlayer
-from ..media.content import drama_show
+from ..media.content import DEFAULT_CHUNK_DURATION_S
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.traces import constant
-from ..sim.session import SessionConfig, simulate
-from .base import ExperimentReport, register
+from ..runner import SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
 LIVE_OFFSET_S = 2.0
 LINK_KBPS = 1000.0
+JOIN_CHUNKS = (1, 2, 3, 4)
 
 
 @register("live")
@@ -58,40 +55,37 @@ def run_live() -> ExperimentReport:
             "Steady combination",
         ),
     )
-    content = drama_show()
-    hsub = hsub_combinations(content)
-    chunk_s = content.chunk_duration_s
+    chunk_s = DEFAULT_CHUNK_DURATION_S
+    results, runner = run_grid(
+        report,
+        [
+            SimulationJob(
+                trace=TraceSpec.constant(LINK_KBPS),
+                live_offset_s=LIVE_OFFSET_S,
+                startup_threshold_s=join_chunks * chunk_s,
+            )
+            for join_chunks in JOIN_CHUNKS
+        ],
+    )
+    content = runner.content()
 
-    video_by_join = {}
-    stalls_by_join = {}
-    latency_by_join = {}
-    steady_by_join = {}
-    for join_chunks in (1, 2, 3, 4):
-        config = SessionConfig(
-            live_offset_s=LIVE_OFFSET_S,
-            startup_threshold_s=join_chunks * chunk_s,
-        )
-        player = RecommendedPlayer(hsub)
-        result = simulate(content, player, shared(constant(LINK_KBPS)), config)
-        latency = result.ended_at_s - content.duration_s
+    latency, video, stalls, steady = {}, {}, {}, {}
+    for join, result in zip(JOIN_CHUNKS, results):
+        latency[join] = result.ended_at_s - content.duration_s
+        video[join] = result.time_weighted_bitrate_kbps(MediaType.VIDEO)
+        stalls[join] = result.n_stalls
         names = result.combination_names()
-        steady = Counter(names[len(names) // 2 :]).most_common(1)[0][0]
-        video_kbps = result.time_weighted_bitrate_kbps(MediaType.VIDEO)
+        steady[join] = Counter(names[len(names) // 2 :]).most_common(1)[0][0]
         report.rows.append(
             (
-                join_chunks,
-                round(latency, 2),
-                result.n_stalls,
+                join,
+                round(latency[join], 2),
+                stalls[join],
                 round(result.total_rebuffer_s, 1),
-                round(video_kbps),
-                steady,
+                round(video[join]),
+                steady[join],
             )
         )
-        video_by_join[join_chunks] = video_kbps
-        stalls_by_join[join_chunks] = result.n_stalls
-        latency_by_join[join_chunks] = latency
-        steady_by_join[join_chunks] = steady
-
         # Structural live property: nothing is fetched before publication.
         for record in result.downloads:
             published = record.chunk_index * chunk_s + LIVE_OFFSET_S
@@ -99,30 +93,24 @@ def run_live() -> ExperimentReport:
 
     report.check(
         "joining at the edge pins quality at the lowest combination",
-        steady_by_join[1] == "V1+A1",
-        detail=steady_by_join[1],
+        steady[1] == "V1+A1",
+        detail=steady[1],
     )
     report.check(
         "three target durations behind recovers the VOD steady state "
         "(V3+A2 at this link) with zero stalls",
-        steady_by_join[3] == "V3+A2" and stalls_by_join[3] == 0,
-        detail=f"{steady_by_join[3]}, {stalls_by_join[3]} stalls",
+        steady[3] == "V3+A2" and stalls[3] == 0,
+        detail=f"{steady[3]}, {stalls[3]} stalls",
     )
     report.check(
         "quality is monotone in join distance",
-        all(
-            video_by_join[a] <= video_by_join[b] + 1e-6
-            for a, b in ((1, 2), (2, 3), (3, 4))
-        ),
-        detail=str({k: round(v) for k, v in video_by_join.items()}),
+        all(video[a] <= video[a + 1] + 1e-6 for a in (1, 2, 3)),
+        detail=str({k: round(v) for k, v in video.items()}),
     )
     report.check(
         "latency is monotone in join distance (the trade-off is real)",
-        all(
-            latency_by_join[a] <= latency_by_join[b] + 1e-6
-            for a, b in ((1, 2), (2, 3), (3, 4))
-        ),
-        detail=str({k: round(v, 1) for k, v in latency_by_join.items()}),
+        all(latency[a] <= latency[a + 1] + 1e-6 for a in (1, 2, 3)),
+        detail=str({k: round(v, 1) for k, v in latency.items()}),
     )
     report.note(
         "the decision-time buffer floor at the edge is startup-offset "

@@ -19,26 +19,25 @@ Expected shape:
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from ..core.combinations import hsub_combinations
-from ..core.player import RecommendedPlayer
-from ..media.content import drama_show
-from ..media.muxed import demux_ids, muxed_content
+from ..media.content import TABLE1_VIDEO
+from ..media.muxed import muxed_selection_pairs
 from ..media.tracks import MediaType
-from ..net.link import shared
-from ..net.markov import hspa_preset
-from ..net.traces import constant
-from ..sim.session import simulate
-from .base import ExperimentReport, register
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
+HSPA = TraceSpec.hspa(4)
+LINKS = (("1 Mbps", TraceSpec.constant(1000.0)), ("hspa", HSPA))
 
-def _audio_switches(pairs: List[Tuple[str, str]]) -> int:
-    switches = 0
-    for (_, first_audio), (_, second_audio) in zip(pairs, pairs[1:]):
-        if first_audio != second_audio:
-            switches += 1
-    return switches
+#: The muxed title's variants are the H_sub pairs; the recommended
+#: player adapts over all of them.
+MUXED_CONTENT = ContentSpec("drama-muxed")
+MUXED_PLAYER = PlayerSpec("recommended", combinations="all")
+
+#: Video adapts freely while the audio stays pinned at A2.
+STEADY_AUDIO = PlayerSpec(
+    "recommended", combinations=tuple(f"{row[0]}+A2" for row in TABLE1_VIDEO)
+)
 
 
 @register("muxed_vs_demuxed")
@@ -61,96 +60,69 @@ def run_muxed_vs_demuxed() -> ExperimentReport:
             "Audio switches",
         ),
     )
-    content = drama_show()
-    hsub = hsub_combinations(content)
-    muxed = muxed_content(content, combinations=hsub)
-
-    comparisons = []
-    for label, make_network in (
-        ("1 Mbps", lambda: shared(constant(1000.0))),
-        ("hspa", lambda: shared(hspa_preset(seed=4))),
-    ):
-        demuxed_result = simulate(
-            content, RecommendedPlayer(hsub), make_network()
+    jobs = []
+    for _, trace in LINKS:
+        jobs.append(SimulationJob(trace=trace))
+        jobs.append(
+            SimulationJob(content=MUXED_CONTENT, player=MUXED_PLAYER, trace=trace)
         )
-        from ..core.combinations import all_combinations
+    jobs.append(SimulationJob(player=STEADY_AUDIO, trace=HSPA))
+    results, runner = run_grid(report, jobs)
+    content = runner.content()
 
-        muxed_result = simulate(
-            muxed, RecommendedPlayer(all_combinations(muxed)), make_network()
-        )
-        demuxed_total = demuxed_result.time_weighted_bitrate_kbps(
-            MediaType.VIDEO
-        ) + demuxed_result.time_weighted_bitrate_kbps(MediaType.AUDIO)
-        muxed_total = muxed_result.time_weighted_bitrate_kbps(MediaType.VIDEO)
-        muxed_pairs = [
-            demux_ids(track_id)
-            for _, track_id, _ in muxed_result.selected_combinations()
-            if track_id is not None
-        ]
-        demuxed_audio_switches = demuxed_result.switch_count(MediaType.AUDIO)
-        muxed_audio_switches = _audio_switches(muxed_pairs)
-        report.rows.append(
+    totals = []  # (link, demuxed kbps, muxed kbps)
+    audio_switches = []  # (demuxed, muxed)
+    video, audio = MediaType.VIDEO, MediaType.AUDIO
+    for (label, _), demuxed, muxed in zip(LINKS, results[0:-1:2], results[1:-1:2]):
+        # A muxed variant embeds its audio, so its "video" rate is the
+        # total and its audio switches show in the implied pairs.
+        muxed_audio = [a for _, a in muxed_selection_pairs(muxed)]
+        modes = (
             (
-                label,
                 "demuxed",
-                round(demuxed_total),
-                demuxed_result.n_stalls,
-                round(demuxed_result.total_rebuffer_s, 1),
-                demuxed_result.switch_count(MediaType.VIDEO),
-                demuxed_audio_switches,
-            )
-        )
-        report.rows.append(
+                demuxed,
+                demuxed.time_weighted_bitrate_kbps(video)
+                + demuxed.time_weighted_bitrate_kbps(audio),
+                demuxed.switch_count(audio),
+            ),
             (
-                label,
                 "muxed",
-                round(muxed_total),
-                muxed_result.n_stalls,
-                round(muxed_result.total_rebuffer_s, 1),
-                muxed_result.switch_count(MediaType.VIDEO),
-                muxed_audio_switches,
+                muxed,
+                muxed.time_weighted_bitrate_kbps(video),
+                sum(a != b for a, b in zip(muxed_audio, muxed_audio[1:])),
+            ),
+        )
+        for mode, result, total, switches in modes:
+            report.rows.append(
+                (
+                    label,
+                    mode,
+                    round(total),
+                    result.n_stalls,
+                    round(result.total_rebuffer_s, 1),
+                    result.switch_count(video),
+                    switches,
+                )
             )
-        )
-        comparisons.append(
-            {
-                "label": label,
-                "demuxed_total": demuxed_total,
-                "muxed_total": muxed_total,
-                "demuxed_audio_switches": demuxed_audio_switches,
-                "muxed_audio_switches": muxed_audio_switches,
-                "muxed_video_switches": muxed_result.switch_count(MediaType.VIDEO),
-                "stall_delta": abs(
-                    muxed_result.total_rebuffer_s - demuxed_result.total_rebuffer_s
-                ),
-            }
-        )
+        totals.append((label, modes[0][2], modes[1][2]))
+        audio_switches.append((modes[0][3], modes[1][3]))
 
     report.check(
         "delivery parity: delivered bitrate within 15% between modes",
-        all(
-            c["muxed_total"] >= c["demuxed_total"] * 0.85
-            and c["muxed_total"] <= c["demuxed_total"] * 1.15
-            for c in comparisons
-        ),
-        detail=str(
-            [(c["label"], round(c["demuxed_total"]), round(c["muxed_total"])) for c in comparisons]
-        ),
+        all(d * 0.85 <= m <= d * 1.15 for _, d, m in totals),
+        detail=str([(label, round(d), round(m)) for label, d, m in totals]),
     )
     # -- the flexibility gap: re-pairing without new storage --------------
     # A demuxed client can pin the audio (say A2, e.g. headphones where
     # A3's surround mix is wasted) while video adapts freely — zero new
     # origin objects. A muxed origin can only offer pairings it stored:
     # serving V1..V6 each with A2 requires six new muxed variants.
-    from ..core.combinations import combinations_from_pairs
-
-    steady_audio = combinations_from_pairs(
-        content, [(t.track_id, "A2") for t in content.video]
-    )
-    steady_result = simulate(
-        content, RecommendedPlayer(steady_audio), shared(hspa_preset(seed=4))
-    )
+    steady_result = results[-1]
+    hsub_names = set(hsub_combinations(content).names)
     extra_variants = [
-        pair for pair in steady_audio if pair.name not in set(hsub.names)
+        pair
+        for pair in STEADY_AUDIO.combination_set(content)
+        if pair.name not in hsub_names
     ]
     extra_bits = sum(
         content.chunk_table.total_bits(pair.video.track_id)
@@ -159,8 +131,8 @@ def run_muxed_vs_demuxed() -> ExperimentReport:
     )
     report.note(
         "steady-audio policy (video adapts, audio pinned at A2): "
-        f"{steady_result.switch_count(MediaType.VIDEO)} video switches, "
-        f"{steady_result.switch_count(MediaType.AUDIO)} audio switches, "
+        f"{steady_result.switch_count(video)} video switches, "
+        f"{steady_result.switch_count(audio)} audio switches, "
         f"{steady_result.n_stalls} stalls — free under demuxed storage; a "
         f"muxed origin would store {len(extra_variants)} extra variants "
         f"({extra_bits / 1e9:.2f} Gb) to offer the same pairings"
@@ -168,8 +140,8 @@ def run_muxed_vs_demuxed() -> ExperimentReport:
     report.check(
         "demuxed re-pairing is free: steady-audio policy runs with zero "
         "audio switches while video still adapts",
-        steady_result.switch_count(MediaType.AUDIO) == 0
-        and steady_result.switch_count(MediaType.VIDEO) > 0
+        steady_result.switch_count(audio) == 0
+        and steady_result.switch_count(video) > 0
         and steady_result.n_stalls == 0,
     )
     report.check(
@@ -180,10 +152,7 @@ def run_muxed_vs_demuxed() -> ExperimentReport:
     report.check(
         "with identical combination sets the two modes switch identically "
         "(the pairing, not the packaging, drives switching)",
-        all(
-            c["demuxed_audio_switches"] == c["muxed_audio_switches"]
-            for c in comparisons
-        ),
+        all(d == m for d, m in audio_switches),
     )
     report.check(
         "storage economics favour demuxed (from Section 1 accounting)",

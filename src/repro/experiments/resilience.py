@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..core.combinations import hsub_combinations
-from ..media.content import drama_show
 from ..media.tracks import MediaType
 from ..net.resilience import FailureKind, RetryPolicy
 from ..qoe.metrics import compute_qoe
@@ -35,7 +34,7 @@ from ..runner import (
     SimulationJob,
     TraceSpec,
 )
-from .base import ExperimentReport, register
+from .base import ExperimentReport, register, run_grid
 
 LINK_KBPS = 900.0
 FAILURE_P = 0.10
@@ -72,13 +71,7 @@ def run_resilience() -> ExperimentReport:
             "QoE",
         ),
     )
-    content = drama_show()
-    hsub = hsub_combinations(content)
-
-    grid = [
-        (name, seed) for name in PLAYER_SPECS for seed in range(N_SEEDS)
-    ]
-    runner = GridRunner()
+    grid = [(name, seed) for name in PLAYER_SPECS for seed in range(N_SEEDS)]
     jobs = [
         SimulationJob(
             player=PLAYER_SPECS[name],
@@ -88,7 +81,9 @@ def run_resilience() -> ExperimentReport:
         )
         for name, seed in grid
     ]
-    results = runner.results(jobs)
+    results, runner = run_grid(report, jobs)
+    content = runner.content()
+    hsub = hsub_combinations(content)
 
     totals: Dict[str, Dict[str, float]] = {}
     conformance_ok = True
@@ -107,7 +102,6 @@ def run_resilience() -> ExperimentReport:
             set(result.combination_names()) <= set(hsub.names)
         ):
             conformance_ok = False
-    report.params["runner"] = runner.params()
     for name, acc in totals.items():
         report.rows.append(
             (

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..media.content import drama_show
 from ..media.tracks import MediaType
 from ..qoe.metrics import compute_qoe
-from ..runner import GridRunner, PlayerSpec, SimulationJob, TraceSpec
-from .base import ExperimentReport, register
+from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from .base import ExperimentReport, register, run_grid
 
 SWEEP_KBPS = (300, 500, 700, 1000, 1500, 2500, 4000)
 
@@ -60,18 +59,13 @@ def run_sweep() -> ExperimentReport:
         ),
         header=("kbps", "player", "video", "audio", "rebuf s", "QoE"),
     )
-    content = drama_show()
-    grid = [
-        (kbps, name)
-        for kbps in SWEEP_KBPS
-        for name in PLAYER_SPECS
-    ]
-    runner = GridRunner()
+    grid = [(kbps, name) for kbps in SWEEP_KBPS for name in PLAYER_SPECS]
     jobs = [
         SimulationJob(player=PLAYER_SPECS[name], trace=TraceSpec.constant(kbps))
         for kbps, name in grid
     ]
-    results = runner.results(jobs)
+    results, runner = run_grid(report, jobs)
+    content = runner.content()
 
     qoe_series: Dict[str, List[float]] = {}
     video_series: Dict[str, List[float]] = {}
@@ -97,7 +91,6 @@ def run_sweep() -> ExperimentReport:
         report.series.setdefault(f"qoe:{name}", []).append(
             (float(kbps), qoe.score)
         )
-    report.params["runner"] = runner.params()
 
     recommended = qoe_series["recommended"]
     report.check(

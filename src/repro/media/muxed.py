@@ -99,7 +99,7 @@ def muxed_content(
     )
 
 
-def muxed_selection_pairs(result, content_muxed: Content) -> List[Tuple[str, str]]:
+def muxed_selection_pairs(result) -> List[Tuple[str, str]]:
     """Per-position (video_id, audio_id) implied by muxed selections."""
     pairs: List[Tuple[str, str]] = []
     for _, muxed_id, _marker in result.selected_combinations():

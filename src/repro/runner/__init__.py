@@ -44,7 +44,6 @@ from .jobs import (
     PlayerSpec,
     SimulationJob,
     TraceSpec,
-    register_content,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "SimulationJob",
     "TraceSpec",
     "get_runner_options",
-    "register_content",
     "run_jobs",
     "runner_options",
     "set_runner_options",

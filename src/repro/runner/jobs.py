@@ -1,12 +1,12 @@
 """Picklable simulation-job specs with content-addressed keys.
 
-A grid experiment describes each cell as a :class:`SimulationJob` —
+Every experiment describes each session as a :class:`SimulationJob` —
 plain data naming the content, the player build recipe, the bandwidth
-trace, the failure/retry configuration and a replicate seed. Specs
-(not live objects) cross the process boundary: the worker rebuilds the
-content, player and network from the spec, so no manifest, RNG or
-player state is ever shared between cells, and two processes handed
-the same spec run byte-identical simulations.
+trace, the failure/retry configuration, the live start and a replicate
+seed. Specs (not live objects) cross the process boundary: the worker
+rebuilds the player and network (and, in a pool worker, the content)
+from the spec, so no RNG or player state is ever shared between cells,
+and two processes handed the same spec run byte-identical simulations.
 
 Every job has a stable content-addressed :meth:`~SimulationJob.key`
 (sha256 over the canonical spec JSON plus a schema version), which is
@@ -17,7 +17,8 @@ a stale result.
 
 The key layout is pinned by ``tests/test_runner.py``
 (``TestKeyContract``): every dataclass field must appear in
-``spec_dict()``, and golden keys fix the bytes. A *semantic* change
+``spec_dict()`` unless it holds its default (how a field added later
+keeps older keys in place), and golden keys fix the bytes. A *semantic* change
 must also bump :data:`SPEC_SCHEMA_VERSION` so old cache entries miss
 instead of colliding.
 """
@@ -29,9 +30,16 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
+from ..core.combinations import (
+    all_combinations,
+    combinations_from_pairs,
+    hsub_combinations,
+)
 from ..errors import ExperimentError
+from ..media.content import b_audio_ladder, c_audio_ladder, drama_show
+from ..media.muxed import muxed_content
 from ..net.resilience import FailureKind, ResilienceModel, RetryPolicy
 from ..net.traces import BandwidthTrace
 
@@ -53,27 +61,19 @@ def spec_key(spec: Dict[str, object]) -> str:
 # -- content ----------------------------------------------------------------
 
 
-def _drama_show():
-    from ..media.content import drama_show
-
-    return drama_show()
-
-
-#: Registry of named content builders (kept tiny and lazy so importing
-#: the runner does not pull the whole media layer into every worker).
-_CONTENT_REGISTRY: Dict[str, Callable[[], object]] = {"drama": _drama_show}
+def _drama_muxed():
+    content = drama_show()
+    return muxed_content(content, combinations=hsub_combinations(content))
 
 
-def register_content(name: str):
-    """Decorator registering a zero-arg content factory under ``name``."""
-
-    def decorate(fn: Callable[[], object]):
-        # Import-time registration runs identically in every process
-        # before any pool exists (hence the waiver below).
-        _CONTENT_REGISTRY[name] = fn  # lint: allow[POOL-GLOBAL-MUTABLE]
-        return fn
-
-    return decorate
+#: Named titles. ``drama-b`` and ``drama-c`` carry the Fig. 2 audio sets
+#: B and C; ``drama-muxed`` is the H_sub pairs packaged as muxed variants.
+_CONTENT_REGISTRY: Dict[str, Callable[[], object]] = {
+    "drama": drama_show,
+    "drama-b": lambda: drama_show().with_audio(b_audio_ladder()),
+    "drama-c": lambda: drama_show().with_audio(c_audio_ladder()),
+    "drama-muxed": _drama_muxed,
+}
 
 
 @dataclass(frozen=True)
@@ -159,63 +159,106 @@ class TraceSpec:
 
 # -- players ----------------------------------------------------------------
 
-PLAYER_NAMES = (
-    "exoplayer-dash",
-    "exoplayer-hls",
-    "shaka",
-    "dashjs",
-    "recommended",
-)
+#: The five measured-player configurations, in report order.
+PLAYER_NAMES = ("exoplayer-dash", "exoplayer-hls", "shaka", "dashjs", "recommended")
+
+#: The other practice-compliant algorithms (see ``experiments.algorithms``).
+PRACTICE_PLAYER_NAMES = ("chunk-aware", "mpc", "bola-joint")
+
+
+def _without_defaults(spec: Dict[str, object], obj, names) -> Dict[str, object]:
+    """Drop each of ``names`` (fields added after the key layout was
+    pinned) from ``spec`` while ``obj`` holds its default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+    for name in names:
+        if getattr(obj, name) == defaults[name]:
+            del spec[name]
+    return spec
 
 
 @dataclass(frozen=True)
 class PlayerSpec:
     """Recipe for a player model, mirroring the experiments' builders.
 
-    ``combinations`` picks the manifest the player adapts over
-    (``"hsub"`` = curated H_sub, ``"all"`` = the full H_all listing);
-    ``audio_order`` reorders HLS audio renditions (the ExoPlayer-HLS
-    pinned-first-audio pathology is triggered by listing A3 first).
+    ``combinations`` picks the combinations the player adapts over:
+    ``"hsub"`` = curated H_sub, ``"all"`` = the full H_all listing, or
+    a tuple of ``"V+A"`` names. ``audio_order`` reorders HLS audio
+    renditions (the ExoPlayer-HLS pinned-first-audio pathology is
+    triggered by listing A3 first). ``balanced`` and ``shared_meter``
+    switch the recommended player's practices off for ablations.
     """
 
     name: str
-    combinations: str = "hsub"
+    combinations: Union[str, Tuple[str, ...]] = "hsub"
     audio_order: Optional[Tuple[str, ...]] = None
+    balanced: bool = True
+    shared_meter: bool = True
+
+    def spec_dict(self) -> Dict[str, object]:
+        return _without_defaults(
+            dataclasses.asdict(self), self, ("balanced", "shared_meter")
+        )
+
+    def combination_set(self, content):
+        if self.combinations == "hsub":
+            return hsub_combinations(content)
+        if self.combinations == "all":
+            return all_combinations(content)
+        if isinstance(self.combinations, tuple):
+            return combinations_from_pairs(
+                content, [name.split("+", 1) for name in self.combinations]
+            )
+        raise ExperimentError(
+            f"unknown combinations {self.combinations!r}; "
+            "known: 'hsub', 'all' or a tuple of 'V+A' names"
+        )
 
     def build(self, content):
-        from ..core.combinations import all_combinations, hsub_combinations
+        from ..core.bola_joint import JointBolaPlayer
+        from ..core.chunk_aware import ChunkAwarePlayer
+        from ..core.mpc import MpcPlayer
         from ..core.player import RecommendedPlayer
         from ..manifest.packager import package_dash, package_hls
         from ..players.dashjs import DashJsPlayer
         from ..players.exoplayer import ExoPlayerDash, ExoPlayerHls
         from ..players.shaka import ShakaPlayer
 
-        combos = (
-            hsub_combinations(content)
-            if self.combinations == "hsub"
-            else all_combinations(content)
-        )
+        if self.name != "recommended" and not (self.balanced and self.shared_meter):
+            raise ExperimentError(f"{self.name!r} takes no balanced/shared_meter")
         if self.name == "exoplayer-dash":
             return ExoPlayerDash(package_dash(content))
+        if self.name == "dashjs":
+            return DashJsPlayer(package_dash(content))
+        # The rest adapt over a combination set or list one in an HLS
+        # master, which lists every combination for "all" (H_all).
+        combos = self.combination_set(content)
+        listing = None if self.combinations == "all" else combos
         if self.name == "exoplayer-hls":
             master = package_hls(
                 content,
-                combinations=combos if self.combinations == "hsub" else None,
+                combinations=listing,
                 audio_order=list(self.audio_order) if self.audio_order else None,
             ).master
             return ExoPlayerHls(master)
         if self.name == "shaka":
-            master = package_hls(
-                content,
-                combinations=combos if self.combinations == "hsub" else None,
-            ).master
-            return ShakaPlayer.from_hls(master)
-        if self.name == "dashjs":
-            return DashJsPlayer(package_dash(content))
+            return ShakaPlayer.from_hls(
+                package_hls(content, combinations=listing).master
+            )
         if self.name == "recommended":
-            return RecommendedPlayer(combos)
+            return RecommendedPlayer(
+                combos, balanced=self.balanced, shared_meter=self.shared_meter
+            )
+        if self.name == "chunk-aware":
+            return ChunkAwarePlayer.from_hls_package(
+                combos, package_hls(content, combinations=listing)
+            )
+        if self.name == "mpc":
+            return MpcPlayer(combos)
+        if self.name == "bola-joint":
+            return JointBolaPlayer(combos)
         raise ExperimentError(
-            f"unknown player {self.name!r}; known: {PLAYER_NAMES}"
+            f"unknown player {self.name!r}; "
+            f"known: {PLAYER_NAMES + PRACTICE_PLAYER_NAMES}"
         )
 
 
@@ -295,14 +338,15 @@ class SimulationJob:
     failure: Optional[FailureSpec] = None
     retry_policy: Optional[RetryPolicy] = None
     live_offset_s: Optional[float] = None
+    startup_threshold_s: Optional[float] = None
     seed: int = 0
 
     def spec_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready form; the basis of the cache key."""
-        return {
+        spec = {
             "schema": SPEC_SCHEMA_VERSION,
             "content": dataclasses.asdict(self.content),
-            "player": dataclasses.asdict(self.player),
+            "player": self.player.spec_dict(),
             # Not ``asdict``: it deep-copies every float of a measured
             # trace. ``args`` is already a tuple of plain values, which
             # encodes to the same JSON bytes.
@@ -317,8 +361,10 @@ class SimulationJob:
                 else dataclasses.asdict(self.retry_policy)
             ),
             "live_offset_s": self.live_offset_s,
+            "startup_threshold_s": self.startup_threshold_s,
             "seed": self.seed,
         }
+        return _without_defaults(spec, self, ("startup_threshold_s",))
 
     def key(self) -> str:
         """Stable content-addressed identity of this job."""
@@ -333,22 +379,26 @@ class SimulationJob:
         key = self.key() if key is None else key
         return f"{self.player.name}/{self.trace.kind}/s{self.seed}#{key[:10]}"
 
-    def build(self, observer=None):
+    def build(self, observer=None, content=None):
         """Rebuild (content, player, network, config) from the spec.
 
         ``observer`` (a :class:`~repro.sim.session.SessionObserver`)
         taps the rebuilt session's event stream — :meth:`execute`
         passes an :class:`~repro.replay.EventRecorder` here when it
-        records.
+        records. ``content`` is this spec's already-built title, when
+        the caller holds one (a :class:`~repro.runner.GridRunner`
+        builds each distinct title once).
         """
         from ..net.link import shared
         from ..sim.session import SessionConfig
 
-        content = self.content.build()
+        if content is None:
+            content = self.content.build()
         player = self.player.build(content)
         network = shared(self.trace.build(), rtt_s=self.rtt_s)
         config = SessionConfig(
             live_offset_s=self.live_offset_s,
+            startup_threshold_s=self.startup_threshold_s,
             failure_model=None if self.failure is None else self.failure.build(),
             retry_policy=self.retry_policy,
             observer=observer,
@@ -360,6 +410,7 @@ class SimulationJob:
         attempt: int = 1,
         log_path: Optional[str] = None,
         key: Optional[str] = None,
+        content=None,
     ):
         """Rebuild the cell from its spec and run it to a
         :class:`~repro.sim.records.SessionResult`.
@@ -371,7 +422,7 @@ class SimulationJob:
         so a retried attempt rewrites the log — one log is always one
         attempt — and a kill mid-run leaves a torn-but-replayable
         prefix. ``key`` is this job's :meth:`key` when the caller
-        already holds it.
+        already holds it; ``content`` is handed to :meth:`build`.
         """
         from ..sim.session import simulate
 
@@ -390,7 +441,7 @@ class SimulationJob:
                 },
             )
         try:
-            content, player, network, config = self.build(observer=observer)
+            content, player, network, config = self.build(observer, content)
             return simulate(content, player, network, config)
         finally:
             if observer is not None:
@@ -422,8 +473,9 @@ class SimulationJob:
 
         content = ContentSpec(**spec["content"])
         player_d = dict(spec["player"])
-        if player_d.get("audio_order") is not None:
-            player_d["audio_order"] = tuplify(player_d["audio_order"])
+        for name in ("combinations", "audio_order"):
+            if isinstance(player_d.get(name), list):
+                player_d[name] = tuplify(player_d[name])
         trace_d = dict(spec["trace"])
         failure_d = spec.get("failure")
         failure = None
@@ -441,5 +493,6 @@ class SimulationJob:
             failure=failure,
             retry_policy=None if retry_d is None else RetryPolicy(**retry_d),
             live_offset_s=spec.get("live_offset_s"),
+            startup_threshold_s=spec.get("startup_threshold_s"),
             seed=int(spec.get("seed", 0)),
         )

@@ -110,13 +110,15 @@ class CohortJob:
         attempt: int = 1,
         log_path: Optional[str] = None,
         key: Optional[str] = None,
+        content=None,
     ):
         """Run the cohort to a :class:`~repro.sim.cohort.CohortResult`.
 
         ``log_path`` writes the schema-2 fault-domain event log there —
         the CI artifact showing which windows opened and who failed
         over where. ``key`` is this job's :meth:`key` when the caller
-        already holds it. ``attempt`` is accepted for the runner's job
+        already holds it; ``content`` is the built title when the
+        caller shares one. ``attempt`` is accepted for the runner's job
         protocol; a cohort run does not depend on it.
         """
         # Deferred import: topology.* must stay importable without the
@@ -124,7 +126,8 @@ class CohortJob:
         from ..core.combinations import curated_combinations
         from ..sim.cohort import CohortKernel
 
-        content = self.content.build()
+        if content is None:
+            content = self.content.build()
         windows = (
             () if self.faults is None else self.faults.windows_for(self.topology)
         )

@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments.corpus import drama_show
+from repro.media.content import drama_show
 from repro.media.tracks import MediaType
 from repro.net.link import NetworkModel, SeparatePaths, shared
 from repro.net.traces import square_wave

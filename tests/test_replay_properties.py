@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.corpus import drama_show
+from repro.media.content import drama_show
 from repro.framing import frame_line, scan_line_file
 from repro.media.tracks import MediaType
 from repro.net.link import shared

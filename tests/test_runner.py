@@ -105,6 +105,10 @@ class TestJobSpecs:
         with pytest.raises(ExperimentError):
             SimulationJob(player=PlayerSpec("vlc")).build()
         with pytest.raises(ExperimentError):
+            SimulationJob(player=PlayerSpec("recommended", combinations="some")).build()
+        with pytest.raises(ExperimentError):
+            SimulationJob(player=PlayerSpec("shaka", balanced=False)).build()
+        with pytest.raises(ExperimentError):
             SimulationJob(trace=TraceSpec("fractal")).build()
 
     def test_func_trace_spec_builds_named_paper_profiles(self):
@@ -188,19 +192,32 @@ class TestKeyContract:
 
     def test_spec_dict_keys_every_field(self):
         # A field left out of spec_dict() makes two different jobs share
-        # one cache key. Nested specs are checked the same way.
+        # one cache key -- unless it holds its default, which is how a
+        # field added later keeps every older key in place. Nested specs
+        # are checked the same way.
         from repro.topology import CohortJob
 
         def field_names(obj):
             return {f.name for f in dataclasses.fields(obj)}
 
-        for root in (GOLDEN_KEYS[1][0], CohortJob()):
+        def assert_keyed(obj, keys, where):
+            assert set(keys) <= field_names(obj), where
+            for f in dataclasses.fields(obj):
+                if f.name not in keys:
+                    default = (
+                        f.default_factory()
+                        if f.default is dataclasses.MISSING
+                        else f.default
+                    )
+                    assert getattr(obj, f.name) == default, (where, f.name)
+
+        for root in (GOLDEN_KEYS[1][0], GOLDEN_KEYS[2][0], CohortJob()):
             spec = root.spec_dict()
-            assert set(spec) - {"schema", "kind"} == field_names(root)
+            assert_keyed(root, set(spec) - {"schema", "kind"}, "root")
             for name, value in spec.items():
                 sub = getattr(root, name, None)
                 if dataclasses.is_dataclass(sub):
-                    assert set(value) == field_names(sub), name
+                    assert_keyed(sub, value, name)
 
         # A cohort keys its faults by FaultDomainSchedule.spec(), a
         # string: every schedule and pinned-window field must move it.
@@ -248,6 +265,37 @@ class TestKeyContract:
         ]
         keys = {CohortJob(faults=s).key() for s in [schedule, *variants]}
         assert len(keys) == 1 + len(variants)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("player", "name"), "mpc"),
+            (("player", "name"), "bola-joint"),
+            (("player", "name"), "chunk-aware"),
+            (("player", "combinations"), ("V1+A2", "V3+A2", "V6+A2")),
+            (("player", "balanced"), False),
+            (("player", "shared_meter"), False),
+            (("content", "name"), "drama-b"),
+            (("content", "name"), "drama-c"),
+            (("content", "name"), "drama-muxed"),
+            (("startup_threshold_s",), 15.0),
+        ],
+    )
+    def test_new_spec_values_are_keyed_and_round_trip(self, path, value):
+        base = SimulationJob(trace=TraceSpec.constant(1500.0))
+        if len(path) == 1:
+            job = dataclasses.replace(base, **{path[0]: value})
+            assert path[0] not in base.spec_dict()
+            keyed = job.spec_dict()[path[0]]
+        else:
+            sub = dataclasses.replace(getattr(base, path[0]), **{path[1]: value})
+            job = dataclasses.replace(base, **{path[0]: sub})
+            keyed = job.spec_dict()[path[0]][path[1]]
+        assert keyed == value
+        assert job.key() != base.key()
+        round_trip = SimulationJob.from_spec(json.loads(json.dumps(job.spec_dict())))
+        assert round_trip == job
+        assert round_trip.key() == job.key()
 
     def test_cohort_key_bytes_are_pinned(self):
         from repro.topology import CohortJob
@@ -438,6 +486,57 @@ class TestGridRunnerOptions:
             runner.run(jobs)
             fresh = runner.run(jobs, use_cache=False)
             assert not fresh[0].cached
+            # Deliberate re-runs are not cache misses.
+            assert runner.params()["simulated"] == 1
+            assert runner.params()["uncached"] == 1
+
+
+class TestSharedContent:
+    """A GridRunner builds each title once and every in-process cell
+    runs on that one object, so no player may change it."""
+
+    def test_every_player_shares_one_content_without_changing_it(self):
+        from repro.runner.jobs import PLAYER_NAMES, PRACTICE_PLAYER_NAMES
+
+        def snapshot(content):
+            table = content.chunk_table
+            sizes = {tid: table.sizes(tid) for tid in table.track_ids}
+            return content.video, content.audio, sizes
+
+        runner = GridRunner()
+        content = runner.content()
+        before = snapshot(content)
+        jobs = [
+            SimulationJob(player=PlayerSpec(name), trace=TraceSpec.hspa(2))
+            for name in PLAYER_NAMES + PRACTICE_PLAYER_NAMES
+        ]
+        shared = runner.results(jobs)
+        assert runner.content() is content
+        assert runner.params()["simulated"] == len(jobs)
+        assert snapshot(content) == before
+        for job, result in zip(jobs, shared):
+            assert result.to_dict() == job.execute().to_dict(), job.player.name
+
+    def test_content_is_built_once_per_spec(self, monkeypatch):
+        builds = []
+        original = ContentSpec.build
+
+        def counting_build(self):
+            builds.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(ContentSpec, "build", counting_build)
+        runner = GridRunner()
+        runner.results(
+            [
+                SimulationJob(trace=TraceSpec.constant(kbps))
+                for kbps in (700.0, 1500.0)
+            ]
+            + [SimulationJob(ContentSpec("drama-b"), PlayerSpec("dashjs"))]
+        )
+        runner.content()
+        runner.content(ContentSpec("drama-b"))
+        assert builds == ["drama", "drama-b"]
 
 
 class TestExperimentEquivalence:
