@@ -177,7 +177,7 @@ class TestInvariants:
         result.completed = True
         result.stalls.append(StallEvent(start_s=5.0, end_s=3.0))
         result.stalls.append(StallEvent(start_s=50.0, end_s=None))
-        result.add_download(
+        result.downloads.append(
             DownloadRecord(
                 medium=MediaType.VIDEO,
                 track_id="V1",
