@@ -726,10 +726,15 @@ class GridRunner:
         return [outcome.result for outcome in outcomes]
 
     def content(self, spec: ContentSpec = ContentSpec()):
-        """The built title for ``spec``, built on first use only."""
+        """The built title for ``spec``, built on first use only.
+
+        A derived title is made from this runner's own drama title, so
+        the drama title is synthesized once per runner.
+        """
         built = self._contents.get(spec)
         if built is None:
-            built = self._contents[spec] = spec.build()
+            drama = self.content() if spec.derived else None
+            built = self._contents[spec] = spec.build(drama)
         return built
 
     def params(self) -> dict:

@@ -61,35 +61,47 @@ def spec_key(spec: Dict[str, object]) -> str:
 # -- content ----------------------------------------------------------------
 
 
-def _drama_muxed():
-    content = drama_show()
-    return muxed_content(content, combinations=hsub_combinations(content))
+def _drama_muxed(drama):
+    return muxed_content(drama, combinations=hsub_combinations(drama))
 
 
-#: Named titles. ``drama-b`` and ``drama-c`` carry the Fig. 2 audio sets
-#: B and C; ``drama-muxed`` is the H_sub pairs packaged as muxed variants.
-_CONTENT_REGISTRY: Dict[str, Callable[[], object]] = {
-    "drama": drama_show,
-    "drama-b": lambda: drama_show().with_audio(b_audio_ladder()),
-    "drama-c": lambda: drama_show().with_audio(c_audio_ladder()),
+#: Titles made from the drama title, by how each is made: ``drama-b``
+#: and ``drama-c`` carry the Fig. 2 audio sets B and C; ``drama-muxed``
+#: is the H_sub pairs packaged as muxed variants.
+_DERIVED_TITLES: Dict[str, Callable[[object], object]] = {
+    "drama-b": lambda drama: drama.with_audio(b_audio_ladder()),
+    "drama-c": lambda drama: drama.with_audio(c_audio_ladder()),
     "drama-muxed": _drama_muxed,
 }
 
 
 @dataclass(frozen=True)
 class ContentSpec:
-    """A named title from the content registry."""
+    """A named title: ``drama`` (Table 1) or one made from it."""
 
     name: str = "drama"
 
-    def build(self):
-        try:
-            factory = _CONTENT_REGISTRY[self.name]
-        except KeyError:
+    @property
+    def derived(self) -> bool:
+        """Is this title made from the drama title?"""
+        return self.name in _DERIVED_TITLES
+
+    def build(self, drama=None):
+        """Build the title.
+
+        A derived title is made from ``drama`` when the caller already
+        holds the built drama title (a :class:`~repro.runner.GridRunner`
+        does), else from a fresh one; both give equal content.
+        """
+        if self.name == "drama":
+            return drama_show()
+        derive = _DERIVED_TITLES.get(self.name)
+        if derive is None:
+            known = sorted(["drama", *_DERIVED_TITLES])
             raise ExperimentError(
-                f"unknown content {self.name!r}; known: {sorted(_CONTENT_REGISTRY)}"
-            ) from None
-        return factory()
+                f"unknown content {self.name!r}; known: {known}"
+            )
+        return derive(drama_show() if drama is None else drama)
 
 
 # -- traces -----------------------------------------------------------------

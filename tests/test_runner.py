@@ -521,9 +521,9 @@ class TestSharedContent:
         builds = []
         original = ContentSpec.build
 
-        def counting_build(self):
+        def counting_build(self, drama=None):
             builds.append(self.name)
-            return original(self)
+            return original(self, drama)
 
         monkeypatch.setattr(ContentSpec, "build", counting_build)
         runner = GridRunner()
@@ -537,6 +537,22 @@ class TestSharedContent:
         runner.content()
         runner.content(ContentSpec("drama-b"))
         assert builds == ["drama", "drama-b"]
+
+
+    @pytest.mark.parametrize("name", ["drama-b", "drama-c", "drama-muxed"])
+    def test_derived_title_equals_a_bare_build(self, name):
+        # A pool worker builds its title with a bare build(); the runner
+        # derives it from its own drama title. Both must agree.
+        def snapshot(content):
+            table = content.chunk_table
+            sizes = {tid: tuple(table.sizes(tid)) for tid in table.track_ids}
+            return content.name, content.video, content.audio, sizes
+
+        spec = ContentSpec(name)
+        runner = GridRunner()
+        assert spec.derived
+        assert snapshot(runner.content(spec)) == snapshot(spec.build())
+        assert runner.content(spec) is runner.content(spec)
 
 
 class TestExperimentEquivalence:
