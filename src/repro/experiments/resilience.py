@@ -187,14 +187,8 @@ def _cell_jobs(
     ]
 
 
-def _sweep_cell(
-    runner: GridRunner,
-    mix: Optional[Dict[FailureKind, float]],
-    policy: RetryPolicy,
-    resume_probability: float,
-    use_cache: bool = True,
-) -> Tuple[Dict[str, float], list, bool]:
-    """Run one (mix, policy, resume) cell over the seed set."""
+def _fold_cell(results) -> Tuple[Dict[str, float], list, bool]:
+    """Fold one (mix, policy, resume) cell's seed replicates."""
     acc = {
         "failures": 0,
         "retries": 0,
@@ -206,9 +200,7 @@ def _sweep_cell(
     }
     schedules = []
     reconciles = True
-    for result in runner.results(
-        _cell_jobs(mix, policy, resume_probability), use_cache=use_cache
-    ):
+    for result in results:
         acc["failures"] += len(result.failures)
         acc["retries"] += result.n_retries
         acc["resumed"] += result.bits_resumed / 1e6
@@ -254,37 +246,58 @@ def run_resilience_sweep() -> ExperimentReport:
             "Video kbps",
         ),
     )
+    grid = [
+        (mix_name, policy_name, resume_probability)
+        for mix_name in SWEEP_MIXES
+        for policy_name in SWEEP_POLICIES
+        for resume_probability in (
+            (0.6, 0.0) if (mix_name, policy_name) == ("default", "default") else (0.6,)
+        )
+    ]
+    jobs = [
+        job
+        for mix_name, policy_name, resume_probability in grid
+        for job in _cell_jobs(
+            SWEEP_MIXES[mix_name], SWEEP_POLICIES[policy_name], resume_probability
+        )
+    ]
+    # Graceful degradation: certain failure + tiny budget still yields a
+    # clean, reconciled result with a termination reason — no exception.
+    jobs.append(
+        SimulationJob(
+            player=_RECOMMENDED,
+            trace=TraceSpec.constant(LINK_KBPS),
+            failure=FailureSpec(1.0, seed=0, taxonomy=True),
+            retry_policy=RetryPolicy(retry_budget=8),
+        )
+    )
     runner = GridRunner()
-    cells: Dict[Tuple[str, str, float], Dict[str, float]] = {}
-    all_reconcile = True
-    for mix_name, mix in SWEEP_MIXES.items():
-        for policy_name, policy in SWEEP_POLICIES.items():
-            resumes = (0.6, 0.0) if (mix_name, policy_name) == (
-                "default",
-                "default",
-            ) else (0.6,)
-            for resume_probability in resumes:
-                acc, _, reconciles = _sweep_cell(
-                    runner, mix, policy, resume_probability
-                )
-                all_reconcile = all_reconcile and reconciles
-                cells[(mix_name, policy_name, resume_probability)] = acc
-                report.rows.append(
-                    (
-                        mix_name,
-                        policy_name,
-                        f"{resume_probability:.0%}",
-                        acc["failures"],
-                        acc["retries"],
-                        round(acc["resumed"], 1),
-                        round(acc["waste"], 1),
-                        round(acc["rebuf"], 1),
-                        round(acc["video"] / SWEEP_SEEDS),
-                    )
-                )
+    *results, degraded = runner.results(jobs)
 
-    with_resume = cells[("default", "default", 0.6)]
-    without_resume = cells[("default", "default", 0.0)]
+    cells: Dict[Tuple[str, str, float], Tuple[Dict[str, float], list]] = {}
+    all_reconcile = True
+    for index, (mix_name, policy_name, resume_probability) in enumerate(grid):
+        acc, schedules, reconciles = _fold_cell(
+            results[index * SWEEP_SEEDS : (index + 1) * SWEEP_SEEDS]
+        )
+        all_reconcile = all_reconcile and reconciles
+        cells[(mix_name, policy_name, resume_probability)] = acc, schedules
+        report.rows.append(
+            (
+                mix_name,
+                policy_name,
+                f"{resume_probability:.0%}",
+                acc["failures"],
+                acc["retries"],
+                round(acc["resumed"], 1),
+                round(acc["waste"], 1),
+                round(acc["rebuf"], 1),
+                round(acc["video"] / SWEEP_SEEDS),
+            )
+        )
+
+    with_resume = cells[("default", "default", 0.6)][0]
+    without_resume = cells[("default", "default", 0.0)][0]
     report.check(
         "range-resume wastes fewer megabits than discard-everything",
         with_resume["waste"] < without_resume["waste"],
@@ -307,36 +320,21 @@ def run_resilience_sweep() -> ExperimentReport:
         all_reconcile,
     )
 
-    # Determinism: one cell, run twice, schedule-identical. The second
-    # run bypasses the result cache so a fresh simulation (not the
-    # first run's stored copy) is what must match.
-    _, schedules_a, _ = _sweep_cell(
-        runner, SWEEP_MIXES["reset-heavy"], SWEEP_POLICIES["default"], 0.6
-    )
-    _, schedules_b, _ = _sweep_cell(
-        runner,
-        SWEEP_MIXES["reset-heavy"],
-        SWEEP_POLICIES["default"],
-        0.6,
-        use_cache=False,
+    # Determinism: the reset-heavy/default cell, run again, must be
+    # schedule-identical. The re-run bypasses the result cache so a
+    # fresh simulation (not the grid's stored copy) is what must match.
+    schedules_a = cells[("reset-heavy", "default", 0.6)][1]
+    _, schedules_b, _ = _fold_cell(
+        runner.results(
+            _cell_jobs(SWEEP_MIXES["reset-heavy"], SWEEP_POLICIES["default"], 0.6),
+            use_cache=False,
+        )
     )
     report.check(
         "identical seeds reproduce identical failure/retry schedules",
         schedules_a == schedules_b and any(schedules_a),
     )
 
-    # Graceful degradation: certain failure + tiny budget still yields a
-    # clean, reconciled result with a termination reason — no exception.
-    (degraded,) = runner.results(
-        [
-            SimulationJob(
-                player=_RECOMMENDED,
-                trace=TraceSpec.constant(LINK_KBPS),
-                failure=FailureSpec(1.0, seed=0, taxonomy=True),
-                retry_policy=RetryPolicy(retry_budget=8),
-            )
-        ]
-    )
     report.check(
         "certain failure with a finite budget terminates gracefully",
         (not degraded.completed)

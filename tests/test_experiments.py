@@ -165,6 +165,48 @@ class TestSpecificShapes:
         assert scenarios == {"fig3", "fig4a", "fig5"}
 
 
+class TestGridCalls:
+    """Each experiment runs its sessions in as few grids as it can."""
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        from repro.runner import GridRunner
+
+        calls = []
+        original = GridRunner.run
+
+        def counting_run(self, jobs, use_cache=True):
+            calls.append((len(jobs), use_cache))
+            return original(self, jobs, use_cache=use_cache)
+
+        monkeypatch.setattr(GridRunner, "run", counting_run)
+        return calls
+
+    def test_resilience_sweep_is_one_grid_plus_one_rerun(self, monkeypatch):
+        calls = self._count_runs(monkeypatch)
+        report = run_experiment("resilience-sweep")
+        # The 30 cell jobs and the degraded-budget job in one grid, then
+        # the determinism check's uncached re-run of one 3-seed cell.
+        assert calls == [(31, True), (3, False)]
+        assert report.params["runner"]["simulated"] == 31
+        assert report.params["runner"]["uncached"] == 3
+
+    @pytest.mark.parametrize("name", ["muxed_vs_demuxed", "fig2a", "fig2b"])
+    def test_derived_titles_reuse_the_runners_drama(self, monkeypatch, name):
+        import repro.runner.jobs as jobs_module
+
+        builds = []
+        original = jobs_module.drama_show
+
+        def counting_drama_show():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(jobs_module, "drama_show", counting_drama_show)
+        run_experiment(name)
+        assert len(builds) == 1
+
+
 class TestReportRendering:
     def test_render_contains_checks_and_verdict(self):
         report = run_experiment("table1")
