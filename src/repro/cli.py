@@ -333,8 +333,19 @@ def cmd_lint(args) -> int:
 def cmd_compare(args) -> int:
     """All players on one link, one table."""
     from .media.tracks import MediaType
+    from .runner import GridRunner
 
-    content = drama_show()
+    runner = GridRunner()
+    results = runner.results(
+        [
+            SimulationJob(
+                player=PlayerSpec(name, combinations=args.combinations),
+                trace=TraceSpec.constant(args.bandwidth),
+            )
+            for name in PLAYER_NAMES
+        ]
+    )
+    content = runner.content()
     header = (
         f"{'player':<16} {'video':>6} {'audio':>6} {'stalls':>6} "
         f"{'rebuf s':>8} {'switches':>8} {'imbal s':>8} {'QoE':>8}"
@@ -342,11 +353,7 @@ def cmd_compare(args) -> int:
     print(f"link: constant {args.bandwidth:.0f} kbps")
     print(header)
     print("-" * len(header))
-    for name in PLAYER_NAMES:
-        result = SimulationJob(
-            player=PlayerSpec(name, combinations=args.combinations),
-            trace=TraceSpec.constant(args.bandwidth),
-        ).execute()
+    for name, result in zip(PLAYER_NAMES, results):
         qoe = compute_qoe(result, content)
         print(
             f"{name:<16} "

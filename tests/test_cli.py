@@ -171,6 +171,29 @@ class TestCompare:
         for name in ("exoplayer-dash", "exoplayer-hls", "shaka", "dashjs", "recommended"):
             assert name in out
 
+    def test_runs_one_grid_on_one_title(self, capsys, monkeypatch):
+        import repro.runner.jobs as jobs_module
+        from repro.runner import GridRunner
+
+        grids = []
+        builds = []
+        run = GridRunner.run
+        drama_show = jobs_module.drama_show
+
+        def counting_run(self, jobs, use_cache=True):
+            grids.append(len(jobs))
+            return run(self, jobs, use_cache=use_cache)
+
+        def counting_drama_show():
+            builds.append(1)
+            return drama_show()
+
+        monkeypatch.setattr(GridRunner, "run", counting_run)
+        monkeypatch.setattr(jobs_module, "drama_show", counting_drama_show)
+        assert main(["compare", "--bandwidth", "900"]) == 0
+        assert grids == [5]
+        assert len(builds) == 1
+
 
 class TestTraceImport:
     def test_measured_csv_import(self, capsys, tmp_path):
