@@ -92,13 +92,6 @@ class EventKind(str, enum.Enum):
     VERDICT = "verdict"
 
 
-_KNOWN_KINDS = frozenset(kind.value for kind in EventKind)
-
-
-def is_known_kind(kind: str) -> bool:
-    return kind in _KNOWN_KINDS
-
-
 def _sanitize(value: Any) -> Any:
     """Make a payload strict-JSON safe without losing float precision."""
     if isinstance(value, float):

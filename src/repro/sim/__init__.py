@@ -14,6 +14,7 @@ from .records import (
     EstimateSample,
     FailureRecord,
     ProgressSegment,
+    ResultFold,
     SessionResult,
     SkipRecord,
     StallEvent,
@@ -42,6 +43,7 @@ __all__ = [
     "PlaybackState",
     "PlaybackTracker",
     "ProgressSegment",
+    "ResultFold",
     "Session",
     "SessionConfig",
     "SessionContext",
