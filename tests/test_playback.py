@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.playback import PlaybackState, PlaybackTracker
+from repro.sim.records import ResultFold
 
 
 def make_tracker(duration=300.0, startup=5.0, resume=5.0):
@@ -11,6 +12,7 @@ def make_tracker(duration=300.0, startup=5.0, resume=5.0):
         content_duration_s=duration,
         startup_threshold_s=startup,
         resume_threshold_s=resume,
+        fold=ResultFold(duration, 1.0, 1),
     )
 
 
@@ -19,7 +21,7 @@ class TestStartup:
         tracker = make_tracker()
         assert tracker.state is PlaybackState.STARTUP
         assert tracker.position_s == 0.0
-        assert tracker.startup_delay_s is None
+        assert tracker.fold.result.startup_delay_s is None
 
     def test_does_not_start_below_threshold(self):
         tracker = make_tracker()
@@ -30,7 +32,7 @@ class TestStartup:
         tracker = make_tracker()
         tracker.update_state(now=2.0, frontier_s=5.0, all_downloaded=False)
         assert tracker.state is PlaybackState.PLAYING
-        assert tracker.startup_delay_s == 2.0
+        assert tracker.fold.result.startup_delay_s == 2.0
 
     def test_starts_when_everything_downloaded(self):
         tracker = make_tracker(duration=3.0, startup=5.0)
@@ -61,9 +63,9 @@ class TestStalls:
         tracker.advance(10.0, frontier_s=10.0)
         tracker.update_state(now=10.0, frontier_s=10.0, all_downloaded=False)
         assert tracker.state is PlaybackState.STALLED
-        assert len(tracker.stalls) == 1
-        assert tracker.stalls[0].start_s == 10.0
-        assert tracker.stalls[0].end_s is None
+        assert len(tracker.fold.result.stalls) == 1
+        assert tracker.fold.result.stalls[0].start_s == 10.0
+        assert tracker.fold.result.stalls[0].end_s is None
 
     def test_resume_closes_stall(self):
         tracker = self._playing_tracker()
@@ -71,8 +73,8 @@ class TestStalls:
         tracker.update_state(now=10.0, frontier_s=10.0, all_downloaded=False)
         tracker.update_state(now=14.0, frontier_s=16.0, all_downloaded=False)
         assert tracker.state is PlaybackState.PLAYING
-        assert tracker.stalls[0].end_s == 14.0
-        assert tracker.stalls[0].duration_s == pytest.approx(4.0)
+        assert tracker.fold.result.stalls[0].end_s == 14.0
+        assert tracker.fold.result.stalls[0].duration_s == pytest.approx(4.0)
 
     def test_no_resume_below_resume_threshold(self):
         tracker = self._playing_tracker()
@@ -87,14 +89,14 @@ class TestStalls:
         tracker.advance(10.0, frontier_s=10.0)
         tracker.update_state(now=10.0, frontier_s=10.0, all_downloaded=True)
         assert tracker.state is PlaybackState.ENDED
-        assert tracker.stalls == []
+        assert tracker.fold.result.stalls == []
 
     def test_close_seals_open_stall(self):
         tracker = self._playing_tracker()
         tracker.advance(10.0, frontier_s=10.0)
         tracker.update_state(now=10.0, frontier_s=10.0, all_downloaded=False)
         tracker.close(now=12.5)
-        assert tracker.stalls[0].end_s == 12.5
+        assert tracker.fold.result.stalls[0].end_s == 12.5
 
 
 class TestAdvance:
