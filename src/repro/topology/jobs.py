@@ -121,6 +121,17 @@ class CohortJob:
         caller shares one. ``attempt`` is accepted for the runner's job
         protocol; a cohort run does not depend on it.
         """
+        result = self.kernel(content).run()
+        if log_path is not None:
+            self._record_fault_log(
+                result, log_path, self.key() if key is None else key
+            )
+        return result
+
+    def kernel(self, content=None):
+        """The :class:`~repro.sim.cohort.CohortKernel` that
+        :meth:`execute` runs, not yet run; after its ``run()``, its
+        ``work()`` holds the exact scheduler counts."""
         # Deferred import: topology.* must stay importable without the
         # sim layer (which itself imports topology specs for the kernel).
         from ..core.combinations import curated_combinations
@@ -131,14 +142,7 @@ class CohortJob:
         windows = (
             () if self.faults is None else self.faults.windows_for(self.topology)
         )
-        result = CohortKernel(
-            self, content, curated_combinations(content), windows
-        ).run()
-        if log_path is not None:
-            self._record_fault_log(
-                result, log_path, self.key() if key is None else key
-            )
-        return result
+        return CohortKernel(self, content, curated_combinations(content), windows)
 
     def _record_fault_log(self, result, log_path: str, key: str) -> None:
         """Write the cohort's fault-domain event log (schema 2)."""
