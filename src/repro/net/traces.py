@@ -35,7 +35,61 @@ class TraceSegment:
             raise TraceError(f"segment bandwidth must be non-negative, got {self.kbps}")
 
 
-class BandwidthTrace:
+class _RateQueries:
+    """The rate queries a trace and each of its cursors answer, written
+    once over ``_locate(t) -> (segment index, offset)``."""
+
+    __slots__ = ()
+
+    def bandwidth_at(self, t: float) -> float:
+        """Link bandwidth in kbps at absolute time ``t``."""
+        index, _ = self._locate(t)
+        return self._segments[index].kbps
+
+    def next_change_after(self, t: float) -> float:
+        """Absolute time of the next rate change strictly after ``t``.
+
+        Returns ``inf`` when the rate never changes again (constant
+        trace, or non-looping trace past its end). The rate is constant
+        on the open interval ``(t, next_change_after(t))``: the
+        remaining time in the located segment *is* the next boundary.
+        """
+        if self._n == 1 and self._loop:
+            return math.inf
+        if not self._loop and t >= self._period:
+            return math.inf
+        index, offset = self._locate(t)
+        boundary = t + (self._segments[index].duration_s - offset)
+        if boundary <= t:
+            # t sits within a few ulps of the segment end (fmod rounding
+            # placed it in the expiring segment). The rate flips at the
+            # very next representable instant; returning that keeps the
+            # boundary strictly in the future without skipping a real
+            # change the way jumping a whole period would.
+            boundary = math.nextafter(t, math.inf)
+        return boundary
+
+    def rate_and_next_change(self, t: float) -> Tuple[float, float]:
+        """``(bandwidth_at(t), next_change_after(t))`` in one lookup.
+
+        The kernel needs both values for every event; answering them
+        from a single ``_locate`` halves the hot-path segment lookups.
+        Bit-identical to calling the two methods separately.
+        """
+        index, offset = self._locate(t)
+        kbps = self._segments[index].kbps
+        if self._loop:
+            if self._n == 1:
+                return kbps, math.inf
+        elif t >= self._period:
+            return kbps, math.inf
+        boundary = t + (self._segments[index].duration_s - offset)
+        if boundary <= t:
+            boundary = math.nextafter(t, math.inf)
+        return kbps, boundary
+
+
+class BandwidthTrace(_RateQueries):
     """A piecewise-constant bandwidth profile, looping by default.
 
     The trace itself is immutable once built, so any number of sessions
@@ -44,8 +98,9 @@ class BandwidthTrace:
     :meth:`cursor` — the cursor memoizes the last-hit segment for O(1)
     near-monotonic lookups, and keeping it *per consumer* means two
     interleaved sessions cannot thrash (or corrupt) each other's fast
-    path. The trace's own query methods answer through a throwaway
-    cursor: always correct under sharing, just without the memoized hop.
+    path. The trace's own queries locate by bisection, which is also
+    every cursor's seek fallback: always correct under sharing, just
+    without the memoized hop.
     """
 
     def __init__(self, segments: Iterable[TraceSegment], loop: bool = True):
@@ -82,22 +137,26 @@ class BandwidthTrace:
         """A fresh per-consumer lookup view over this trace."""
         return TraceCursor(self)
 
-    def bandwidth_at(self, t: float) -> float:
-        """Link bandwidth in kbps at absolute time ``t``."""
-        return TraceCursor(self).bandwidth_at(t)
+    def _locate(self, t: float) -> Tuple[int, float]:
+        """(segment index, time offset within that segment) at time ``t``.
 
-    def next_change_after(self, t: float) -> float:
-        """Absolute time of the next rate change strictly after ``t``.
-
-        Returns ``inf`` when the rate never changes again (constant
-        trace, or non-looping trace past its end). The rate is constant
-        on the open interval ``(t, next_change_after(t))``.
+        The target is the largest i with ``t >= edges[i]`` (0 if none),
+        found by bisection; a :class:`TraceCursor` answers the same
+        predicate from its memoized hops and falls back to this.
         """
-        return TraceCursor(self).next_change_after(t)
-
-    def rate_and_next_change(self, t: float) -> Tuple[float, float]:
-        """``(bandwidth_at(t), next_change_after(t))`` in one lookup."""
-        return TraceCursor(self).rate_and_next_change(t)
+        if t < 0:
+            raise TraceError(f"time must be non-negative, got {t}")
+        if self._loop:
+            t = math.fmod(t, self._period)
+        elif t >= self._period:
+            # Past the end of a non-looping trace the last rate holds.
+            return self._n - 1, t - self._starts[-1]
+        # Edges are non-decreasing, so the target is the count of edges
+        # <= t, less one (never below 0: edges[0] < 0 <= t). A NaN time
+        # satisfies no edge, so "0 if none" applies (bisect_right alone
+        # would answer n - 1).
+        i = bisect_right(self._edges, t) - 1 if t == t else 0
+        return i, t - self._starts[i]
 
     def average_kbps(self, duration_s: float = 0.0) -> float:
         """Time-average bandwidth over ``duration_s`` (one period if 0)."""
@@ -133,7 +192,7 @@ class BandwidthTrace:
         return [(s.duration_s, s.kbps) for s in self._segments]
 
 
-class TraceCursor:
+class TraceCursor(_RateQueries):
     """One consumer's memoized lookup view over a shared trace.
 
     The kernel's queries are near-monotonic, so the next lookup almost
@@ -144,9 +203,9 @@ class TraceCursor:
     *only* mutable state in the trace machinery, owned by exactly one
     consumer, so two sessions walking one trace object never share a
     fast path (``TestSharedTraceObject`` in ``tests/test_session.py``
-    guards that contract). :class:`BandwidthTrace`'s own queries go
-    through a fresh cursor, so both answer the same predicate, "largest
-    i with t >= starts[i] - 1e-12", with the same arithmetic.
+    guards that contract). An arbitrary seek is the trace's own
+    bisection, so both answer the same predicate, "largest i with
+    t >= starts[i] - 1e-12", with the same arithmetic.
     """
 
     __slots__ = ("_trace", "_segments", "_starts", "_edges", "_n", "_loop",
@@ -193,58 +252,11 @@ class TraceCursor:
             if i + 1 >= n or not t >= edges[i + 1]:
                 self._cursor = i
                 return i, t - starts[i]
-        # Arbitrary seek: edges are non-decreasing, so the target is the
-        # count of edges <= t, less one (never below 0: edges[0] < 0 <= t).
-        # A NaN time satisfies no edge, so "0 if none" applies (bisect_right
-        # alone would answer n - 1).
-        i = bisect_right(edges, t) - 1 if t == t else 0
+        # Arbitrary seek: the trace's bisection. ``t`` is already inside
+        # one period, where the trace's own wrap leaves it unchanged.
+        i, offset = self._trace._locate(t)
         self._cursor = i
-        return i, t - starts[i]
-
-    def bandwidth_at(self, t: float) -> float:
-        """Link bandwidth in kbps at absolute time ``t``."""
-        index, _ = self._locate(t)
-        return self._segments[index].kbps
-
-    def next_change_after(self, t: float) -> float:
-        """Absolute time of the next rate change strictly after ``t``.
-
-        Same contract as :meth:`BandwidthTrace.next_change_after`: the
-        remaining time in the located segment *is* the next boundary.
-        """
-        if self._n == 1 and self._loop:
-            return math.inf
-        if not self._loop and t >= self._period:
-            return math.inf
-        index, offset = self._locate(t)
-        boundary = t + (self._segments[index].duration_s - offset)
-        if boundary <= t:
-            # t sits within a few ulps of the segment end (fmod rounding
-            # placed it in the expiring segment). The rate flips at the
-            # very next representable instant; returning that keeps the
-            # boundary strictly in the future without skipping a real
-            # change the way jumping a whole period would.
-            boundary = math.nextafter(t, math.inf)
-        return boundary
-
-    def rate_and_next_change(self, t: float) -> Tuple[float, float]:
-        """``(bandwidth_at(t), next_change_after(t))`` in one lookup.
-
-        The kernel needs both values for every event; answering them
-        from a single :meth:`_locate` halves the hot-path segment
-        lookups. Bit-identical to calling the two methods separately.
-        """
-        index, offset = self._locate(t)
-        kbps = self._segments[index].kbps
-        if self._loop:
-            if self._n == 1:
-                return kbps, math.inf
-        elif t >= self._period:
-            return kbps, math.inf
-        boundary = t + (self._segments[index].duration_s - offset)
-        if boundary <= t:
-            boundary = math.nextafter(t, math.inf)
-        return kbps, boundary
+        return i, offset
 
 
 def constant(kbps: float) -> BandwidthTrace:
