@@ -413,8 +413,12 @@ def cmd_replay(args) -> int:
     for path in args.logs:
         try:
             replayed = replay_session(path, strict=args.strict)
-        except (OSError, ReplayError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+        except OSError as exc:
+            print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+            status = max(status, 2)
+            continue
+        except ReplayError as exc:
+            print(exc, file=sys.stderr)  # already names the path
             status = max(status, 2)
             continue
         print(f"== {path}")

@@ -139,15 +139,20 @@ def scan_events(path: str, strict: bool = False) -> "EventScan":
 
     ``strict=True`` raises :class:`ReplayError` on *corrupt* logs
     (truncation is always tolerated — a torn tail is the crash-safety
-    contract working, not a failure).
+    contract working, not a failure). Every :class:`ReplayError` it
+    raises starts with ``path``.
     """
     scan = scan_line_file(path)
     if strict and scan.damage == CORRUPT:
         raise ReplayError(
             f"{path}: corrupt at line {scan.damage_line}: {scan.damage_detail}"
         )
+    try:
+        events = decode_events(scan.payloads)
+    except ReplayError as exc:
+        raise ReplayError(f"{path}: {exc}") from None
     return EventScan(
-        events=decode_events(scan.payloads),
+        events=events,
         damage=scan.damage,
         damage_line=scan.damage_line,
         damage_detail=scan.damage_detail,
@@ -200,18 +205,28 @@ class ReplayedSession:
 
 
 def replay_session(path: str, strict: bool = False) -> ReplayedSession:
-    """Rebuild a :class:`ReplayedSession` from a recorded event log."""
+    """Rebuild a :class:`ReplayedSession` from a recorded event log.
+
+    Every :class:`ReplayError` it raises starts with ``path``, once.
+    """
     scan = scan_events(path, strict=strict)
+    try:
+        return _replay_scan(path, scan)
+    except ReplayError as exc:
+        raise ReplayError(f"{path}: {exc}") from None
+
+
+def _replay_scan(path: str, scan: EventScan) -> ReplayedSession:
     if not scan.events:
         raise ReplayError(
-            f"{path}: no replayable events"
+            "no replayable events"
             + (f" ({scan.damage}: {scan.damage_detail})" if scan.damage else "")
         )
     meta = scan.events[0]
     check_schema(meta)
     content_meta = meta.get("content")
     if not isinstance(content_meta, dict):
-        raise ReplayError(f"{path}: session_meta carries no content description")
+        raise ReplayError("session_meta carries no content description")
     content = ReplayContent(
         name=content_meta.get("name", "replayed"),
         video=_ladder_from_meta(MediaType.VIDEO, content_meta["video"]),
@@ -251,7 +266,7 @@ def replay_session(path: str, strict: bool = False) -> ReplayedSession:
             # A missing or malformed field, or a stall_end with no open
             # stall: the CRC held, so the writer or an editor is at fault.
             raise ReplayError(
-                f"{path}: cannot fold {kind} at seq {event.get('seq')}: {exc!s}"
+                f"cannot fold {kind} at seq {event.get('seq')}: {exc!s}"
             ) from None
     # Only the verdict stamps the end time.
     replayed.has_verdict = fold.result.ended_at_s is not None

@@ -282,7 +282,27 @@ class TestRecordReplayCli:
         assert main(["replay", log, "--strict"]) == 2
 
     def test_replay_missing_file(self, capsys, tmp_path):
-        assert main(["replay", str(tmp_path / "nope.jsonl")]) == 2
+        path = str(tmp_path / "nope.jsonl")
+        assert main(["replay", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count(path) == 1 and "No such file" in err
+
+    def test_replay_empty_log_names_the_path_once(self, capsys, tmp_path):
+        path = str(tmp_path / "x.events.jsonl")
+        open(path, "wb").close()
+        assert main(["replay", path]) == 2
+        assert capsys.readouterr().err == f"{path}: no replayable events\n"
+
+    def test_replay_headerless_log_names_the_path_once(self, capsys, tmp_path):
+        from repro.replay import EventRecorder
+
+        path = str(tmp_path / "headless.events.jsonl")
+        with EventRecorder(path) as rec:
+            rec.emit("decision", {})
+        assert main(["replay", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: event log does not start with")
+        assert err.count(path) == 1
 
     def test_diff_events_identical_and_perturbed(self, capsys, tmp_path):
         log_a = self._record(tmp_path)
