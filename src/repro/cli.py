@@ -22,9 +22,14 @@ from .core.combinations import all_combinations, hsub_combinations
 from .experiments import experiment_names, run_experiment
 from .manifest.dash import write_mpd
 from .manifest.packager import package_dash, package_hls
-from .media.content import drama_show
 from .qoe.metrics import compute_qoe
-from .runner.jobs import PLAYER_NAMES, PlayerSpec, SimulationJob, TraceSpec
+from .runner.jobs import (
+    PLAYER_NAMES,
+    ContentSpec,
+    PlayerSpec,
+    SimulationJob,
+    TraceSpec,
+)
 
 
 def cmd_list(_args) -> int:
@@ -183,7 +188,7 @@ def cmd_cohort(args) -> int:
 
 
 def cmd_manifest(args) -> int:
-    content = drama_show()
+    content = ContentSpec().build()
     if args.format == "dash":
         print(write_mpd(package_dash(content, self_lint=args.self_lint)))
         return 0
@@ -230,7 +235,7 @@ def _collect_lint_files(paths):
 
 def _packaged_lint_files(args):
     """Synthesize the reference-title packaging the legacy CLI linted."""
-    content = drama_show()
+    content = ContentSpec().build()
     combos = hsub_combinations(content) if args.curated else None
     if args.manifest == "dash":
         manifest = package_dash(content, allowed_combinations=combos)
@@ -345,7 +350,7 @@ def cmd_compare(args) -> int:
             for name in PLAYER_NAMES
         ]
     )
-    content = runner.content()
+    content = ContentSpec().build()
     header = (
         f"{'player':<16} {'video':>6} {'audio':>6} {'stalls':>6} "
         f"{'rebuf s':>8} {'switches':>8} {'imbal s':>8} {'QoE':>8}"

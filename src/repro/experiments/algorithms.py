@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..core.combinations import hsub_combinations
 from ..media.tracks import MediaType
 from ..qoe.metrics import compute_qoe
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 #: The four practice-compliant algorithms, each over H_sub.
@@ -54,14 +54,14 @@ def run_algorithms() -> ExperimentReport:
         ),
     )
     grid = [(profile, algo) for profile in PROFILES for algo in ALGORITHMS]
-    results, runner = run_grid(
+    results = run_grid(
         report,
         [
             SimulationJob(player=PlayerSpec(algo), trace=PROFILES[profile])
             for profile, algo in grid
         ],
     )
-    content = runner.content()
+    content = ContentSpec().build()
     allowed = set(hsub_combinations(content).names)
     violations = []
     imbalance_violations = []

@@ -120,17 +120,17 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def run_grid(report: ExperimentReport, jobs: Sequence) -> Tuple[List, GridRunner]:
+def run_grid(report: ExperimentReport, jobs: Sequence) -> List:
     """Run an experiment's jobs on a fresh :class:`~repro.runner.GridRunner`.
 
     Records the runner's provenance in ``report.params`` and returns the
-    results in job order plus the runner, whose ``content()`` serves the
-    same built titles the sessions ran on.
+    results in job order. ``ContentSpec.build()`` gives the same built
+    titles the sessions ran on.
     """
     runner = GridRunner()
     results = runner.results(jobs)
     report.params["runner"] = runner.params()
-    return results, runner
+    return results
 
 
 def _compact_timeline(points: Sequence[Tuple[float, str]]) -> str:

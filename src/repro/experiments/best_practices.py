@@ -24,7 +24,7 @@ from typing import Tuple
 from ..core.combinations import hsub_combinations
 from ..media.tracks import MediaType
 from ..qoe.metrics import compute_qoe
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 from .traces import fig3_spec
 
@@ -92,8 +92,8 @@ def run_best_practices() -> ExperimentReport:
     for _, _, player, trace in scenarios:
         jobs.append(SimulationJob(player=player, trace=trace))
         jobs.append(SimulationJob(player=RECOMMENDED, trace=trace))
-    results, runner = run_grid(report, jobs)
-    content = runner.content()
+    results = run_grid(report, jobs)
+    content = ContentSpec().build()
     hsub = hsub_combinations(content)
     for (scenario, name, _, _), measured, recommended in zip(
         scenarios, results[::2], results[1::2]
@@ -186,8 +186,8 @@ def run_ablations() -> ExperimentReport:
     }
     link = TraceSpec.constant(700.0)
     jobs = [SimulationJob(player=player, trace=link) for player in variants.values()]
-    grid, runner = run_grid(report, jobs)
-    content = runner.content()
+    grid = run_grid(report, jobs)
+    content = ContentSpec().build()
     results = dict(zip(variants, grid))
     for name, result in results.items():
         report.rows.append(_row("700 kbps", name, content, result))

@@ -17,7 +17,7 @@ from typing import Dict
 
 from ..qoe.aggregate import QoEAggregate
 from ..qoe.metrics import compute_qoe
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 N_TRACES = 12
@@ -66,8 +66,8 @@ def run_corpus() -> ExperimentReport:
         )
         for seed, name in grid
     ]
-    results, runner = run_grid(report, jobs)
-    content = runner.content()
+    results = run_grid(report, jobs)
+    content = ContentSpec().build()
 
     aggregates: Dict[str, QoEAggregate] = {
         name: QoEAggregate() for name in PLAYER_SPECS

@@ -15,7 +15,7 @@ depicts plus the two Section-1 advantages of demuxed storage:
 from __future__ import annotations
 
 from ..net.server import CdnCache, OriginServer
-from ..runner import SimulationJob, TraceSpec
+from ..runner import ContentSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 
@@ -31,10 +31,10 @@ def run_fig1() -> ExperimentReport:
         header=("Mode", "Origin storage (Gb)", "User-B video cache hit ratio"),
     )
     # 1. Per-position selection over demuxed tracks.
-    (result,), runner = run_grid(
+    (result,) = run_grid(
         report, [SimulationJob(trace=TraceSpec.constant(1500.0))]
     )
-    content = runner.content()
+    content = ContentSpec().build()
     picks = result.selected_combinations()
     report.note(
         "per-position (video, audio) picks, first 8: "

@@ -30,9 +30,9 @@ def _run(report: ExperimentReport, audio_set: str) -> Tuple[List[str], SessionRe
     """Predetermined combinations and the session for one audio set."""
     content = ContentSpec(f"drama-{audio_set}")
     job = SimulationJob(content, EXOPLAYER_DASH, TraceSpec.constant(BANDWIDTH_KBPS))
-    (result,), runner = run_grid(report, [job])
+    (result,) = run_grid(report, [job])
     # Building the player packages the MPD; no simulation is needed.
-    return EXOPLAYER_DASH.build(runner.content(content)).combination_names, result
+    return EXOPLAYER_DASH.build(content.build()).combination_names, result
 
 
 def _steady_state_combo(result: SessionResult) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..core.combinations import hsub_combinations
 from ..media.tracks import MediaType
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 from .traces import fig3_spec
 
@@ -25,8 +25,8 @@ from .traces import fig3_spec
 def _run(report: ExperimentReport, audio_order, trace: TraceSpec):
     """ExoPlayer-HLS over the H_sub master listing ``audio_order``."""
     exo = PlayerSpec("exoplayer-hls", audio_order=audio_order)
-    (result,), runner = run_grid(report, [SimulationJob(player=exo, trace=trace)])
-    return result, runner
+    (result,) = run_grid(report, [SimulationJob(player=exo, trace=trace)])
+    return result
 
 
 @register("fig3")
@@ -40,7 +40,7 @@ def run_fig3() -> ExperimentReport:
             "combinations outside the H_sub subset (e.g. V1+A3) get used"
         ),
     )
-    result, runner = _run(report, ("A3", "A2", "A1"), fig3_spec())
+    result = _run(report, ("A3", "A2", "A1"), fig3_spec())
 
     audio_tracks = set(result.track_usage(MediaType.AUDIO))
     report.note(f"audio tracks used: {sorted(audio_tracks)}")
@@ -56,7 +56,7 @@ def run_fig3() -> ExperimentReport:
         detail=f"{result.total_rebuffer_s:.1f} s",
     )
     used = set(result.combination_names())
-    hsub = hsub_combinations(runner.content())
+    hsub = hsub_combinations(ContentSpec().build())
     outside = sorted(used - set(hsub.names))
     report.note(f"combinations used: {sorted(used)}; outside H_sub: {outside}")
     report.check(
@@ -85,7 +85,7 @@ def run_fig3_a1_first() -> ExperimentReport:
             "available network bandwidth, leading to unnecessarily poor audio QoE"
         ),
     )
-    result, _ = _run(report, ("A1", "A2", "A3"), TraceSpec.constant(5000.0))
+    result = _run(report, ("A1", "A2", "A3"), TraceSpec.constant(5000.0))
 
     audio_tracks = set(result.track_usage(MediaType.AUDIO))
     report.note(f"audio tracks used: {sorted(audio_tracks)}")

@@ -25,7 +25,7 @@ from .traces import fig4b_spec
 def _run(report: ExperimentReport, trace: TraceSpec) -> SessionResult:
     """Shaka over the H_all master (all 18 combinations)."""
     shaka = PlayerSpec("shaka", combinations="all")
-    (result,), _ = run_grid(report, [SimulationJob(player=shaka, trace=trace)])
+    (result,) = run_grid(report, [SimulationJob(player=shaka, trace=trace)])
     return result
 
 

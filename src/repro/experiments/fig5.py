@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..media.tracks import MediaType
 from ..qoe.metrics import is_undesirable
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 BANDWIDTH_KBPS = 700.0
@@ -32,8 +32,8 @@ def run_fig5() -> ExperimentReport:
     job = SimulationJob(
         player=PlayerSpec("dashjs"), trace=TraceSpec.constant(BANDWIDTH_KBPS)
     )
-    (result,), runner = run_grid(report, [job])
-    content = runner.content()
+    (result,) = run_grid(report, [job])
+    content = ContentSpec().build()
 
     combos = set(result.combination_names())
     report.note(f"combinations used: {sorted(combos)}")

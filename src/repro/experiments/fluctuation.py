@@ -15,7 +15,7 @@ bandwidth profile oscillating in that band and counts real switches.
 from __future__ import annotations
 
 from ..media.tracks import MediaType
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 PAPER_FLUCTUATION_SET = {"V1+A2", "V2+A1", "V2+A2", "V1+A3", "V2+A3"}
@@ -41,12 +41,12 @@ def run_fluctuation() -> ExperimentReport:
     # End-to-end: oscillate the link inside the band; because many
     # combinations sit within 150 kbps of each other, the selection
     # switches often even though the link is only mildly variable.
-    (result,), runner = run_grid(
+    (result,) = run_grid(
         report,
         [SimulationJob(player=SHAKA_H_ALL, trace=TraceSpec.pairs(E2E_TRACE_PAIRS))],
     )
     # The rule itself, on a player built over the same title.
-    player = SHAKA_H_ALL.build(runner.content())
+    player = SHAKA_H_ALL.build(ContentSpec().build())
 
     # Sweep estimates across the band. The paper's five combinations
     # have requirements 318-652 kbps; estimates must exceed the lowest

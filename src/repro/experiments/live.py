@@ -27,7 +27,7 @@ from collections import Counter
 
 from ..media.content import DEFAULT_CHUNK_DURATION_S
 from ..media.tracks import MediaType
-from ..runner import SimulationJob, TraceSpec
+from ..runner import ContentSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 LIVE_OFFSET_S = 2.0
@@ -56,7 +56,7 @@ def run_live() -> ExperimentReport:
         ),
     )
     chunk_s = DEFAULT_CHUNK_DURATION_S
-    results, runner = run_grid(
+    results = run_grid(
         report,
         [
             SimulationJob(
@@ -67,7 +67,7 @@ def run_live() -> ExperimentReport:
             for join_chunks in JOIN_CHUNKS
         ],
     )
-    content = runner.content()
+    content = ContentSpec().build()
 
     latency, video, stalls, steady = {}, {}, {}, {}
     for join, result in zip(JOIN_CHUNKS, results):

@@ -67,8 +67,8 @@ def run_muxed_vs_demuxed() -> ExperimentReport:
             SimulationJob(content=MUXED_CONTENT, player=MUXED_PLAYER, trace=trace)
         )
     jobs.append(SimulationJob(player=STEADY_AUDIO, trace=HSPA))
-    results, runner = run_grid(report, jobs)
-    content = runner.content()
+    results = run_grid(report, jobs)
+    content = ContentSpec().build()
 
     totals = []  # (link, demuxed kbps, muxed kbps)
     audio_switches = []  # (demuxed, muxed)

@@ -28,6 +28,7 @@ from ..media.tracks import MediaType
 from ..net.resilience import FailureKind, RetryPolicy
 from ..qoe.metrics import compute_qoe
 from ..runner import (
+    ContentSpec,
     FailureSpec,
     GridRunner,
     PlayerSpec,
@@ -81,8 +82,8 @@ def run_resilience() -> ExperimentReport:
         )
         for name, seed in grid
     ]
-    results, runner = run_grid(report, jobs)
-    content = runner.content()
+    results = run_grid(report, jobs)
+    content = ContentSpec().build()
     hsub = hsub_combinations(content)
 
     totals: Dict[str, Dict[str, float]] = {}

@@ -28,7 +28,7 @@ from typing import Dict, List
 
 from ..media.tracks import MediaType
 from ..qoe.metrics import compute_qoe
-from ..runner import PlayerSpec, SimulationJob, TraceSpec
+from ..runner import ContentSpec, PlayerSpec, SimulationJob, TraceSpec
 from .base import ExperimentReport, register, run_grid
 
 SWEEP_KBPS = (300, 500, 700, 1000, 1500, 2500, 4000)
@@ -64,8 +64,8 @@ def run_sweep() -> ExperimentReport:
         SimulationJob(player=PLAYER_SPECS[name], trace=TraceSpec.constant(kbps))
         for kbps, name in grid
     ]
-    results, runner = run_grid(report, jobs)
-    content = runner.content()
+    results = run_grid(report, jobs)
+    content = ContentSpec().build()
 
     qoe_series: Dict[str, List[float]] = {}
     video_series: Dict[str, List[float]] = {}

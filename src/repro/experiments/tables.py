@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from ..core.combinations import all_combinations, hsub_combinations
-from ..media.content import TABLE1_AUDIO, TABLE1_VIDEO, drama_show
+from ..media.content import TABLE1_AUDIO, TABLE1_VIDEO
+from ..runner import ContentSpec
 from .base import ExperimentReport, register
 
 #: Table 2 of the paper, verbatim: combination -> (avg, peak) kbps.
@@ -52,7 +53,7 @@ def run_table1() -> ExperimentReport:
         ),
         header=("Track", "Avg (Kbps)", "Peak (Kbps)", "Declared (Kbps)", "Detail"),
     )
-    content = drama_show()
+    content = ContentSpec().build()
     for track in list(content.audio) + list(content.video):
         detail = (
             f"{track.channels} channels, {track.sampling_khz:g} kHz"
@@ -126,7 +127,7 @@ def _combination_table(
 @register("table2")
 def run_table2() -> ExperimentReport:
     """Table 2: all 18 combinations (the H_all manifest)."""
-    content = drama_show()
+    content = ContentSpec().build()
     return _combination_table(
         "table2",
         "Bitrates of the full set of audio and video combinations (H_all)",
@@ -139,7 +140,7 @@ def run_table2() -> ExperimentReport:
 @register("table3")
 def run_table3() -> ExperimentReport:
     """Table 3: the curated 6-combination subset (the H_sub manifest)."""
-    content = drama_show()
+    content = ContentSpec().build()
     return _combination_table(
         "table3",
         "Bitrates of a subset of audio and video combinations (H_sub)",

@@ -33,6 +33,7 @@ from .hls import (
 from .packager import (
     AUDIO_GROUP_ID,
     HlsPackage,
+    hls_master,
     package_dash,
     package_hls,
     package_hls_multilanguage,
@@ -51,6 +52,7 @@ __all__ = [
     "HlsSegment",
     "HlsVariant",
     "build_dash_manifest",
+    "hls_master",
     "package_dash",
     "package_hls",
     "package_hls_multilanguage",

@@ -5,11 +5,11 @@ Plays the role of the Bento4 toolkit in the paper's setup (Section 3.1):
 complying respectively with DASH and HLS standards."
 
 * :func:`package_dash` emits one MPD with two Adaptation Sets.
-* :func:`package_hls` emits a master playlist whose variants are the
-  given combination set (H_all, H_sub, or any curated set), plus one
-  media playlist per track. ``BANDWIDTH`` is the aggregate peak bitrate
-  and ``AVERAGE-BANDWIDTH`` the aggregate average, per the paper's
-  Appendix A.
+* :func:`hls_master` emits a master playlist whose variants are the
+  given combination set (H_all, H_sub, or any curated set);
+  :func:`package_hls` adds one media playlist per track it references.
+  ``BANDWIDTH`` is the aggregate peak bitrate and ``AVERAGE-BANDWIDTH``
+  the aggregate average, per the paper's Appendix A.
 """
 
 from __future__ import annotations
@@ -147,16 +147,13 @@ def _media_playlist_for(
     return HlsMediaPlaylist(track_id=track.track_id, segments=tuple(segments))
 
 
-def package_hls(
+def hls_master(
     content: Content,
     combinations: Optional[CombinationSet] = None,
     audio_order: Optional[Sequence[str]] = None,
     variant_order: str = "bandwidth",
-    single_file: bool = True,
-    include_bitrate_tag: bool = False,
-    self_lint: bool = False,
-) -> HlsPackage:
-    """Build an HLS package for the content.
+) -> HlsMasterPlaylist:
+    """Build the HLS master playlist for the content.
 
     :param combinations: the variants to list. Defaults to *all*
         combinations — the paper's H_all. Pass
@@ -168,15 +165,6 @@ def package_hls(
     :param variant_order: ``"bandwidth"`` (ascending aggregate peak,
         Table-2 order) or ``"manifest"`` (the order of the combination
         set as given).
-    :param single_file: package each track as a single file with
-        ``EXT-X-BYTERANGE`` (case i of Section 4.1) rather than one file
-        per chunk (case ii).
-    :param include_bitrate_tag: emit ``EXT-X-BITRATE`` per chunk — the
-        optional tag the paper recommends making mandatory. Only
-        meaningful with ``single_file=False`` (with byte ranges the
-        bitrate is already derivable), but allowed in both modes.
-    :param self_lint: run :mod:`repro.analysis` over the serialized
-        package and raise :class:`ManifestError` on any ERROR finding.
     """
     combos = combinations if combinations is not None else all_combinations(content)
     if audio_order is None:
@@ -227,8 +215,36 @@ def package_hls(
         )
         for c in ordered
     )
+    return HlsMasterPlaylist(variants=variants, renditions=renditions)
 
-    track_ids = {c.video.track_id for c in combos} | set(audio_ids)
+
+def package_hls(
+    content: Content,
+    combinations: Optional[CombinationSet] = None,
+    audio_order: Optional[Sequence[str]] = None,
+    variant_order: str = "bandwidth",
+    single_file: bool = True,
+    include_bitrate_tag: bool = False,
+    self_lint: bool = False,
+) -> HlsPackage:
+    """Build an HLS package for the content: :func:`hls_master` (which
+    documents ``combinations``, ``audio_order`` and ``variant_order``)
+    plus one media playlist per track it references.
+
+    :param single_file: package each track as a single file with
+        ``EXT-X-BYTERANGE`` (case i of Section 4.1) rather than one file
+        per chunk (case ii).
+    :param include_bitrate_tag: emit ``EXT-X-BITRATE`` per chunk — the
+        optional tag the paper recommends making mandatory. Only
+        meaningful with ``single_file=False`` (with byte ranges the
+        bitrate is already derivable), but allowed in both modes.
+    :param self_lint: run :mod:`repro.analysis` over the serialized
+        package and raise :class:`ManifestError` on any ERROR finding.
+    """
+    master = hls_master(content, combinations, audio_order, variant_order)
+    track_ids = {v.video_id for v in master.variants} | {
+        r.name for r in master.renditions
+    }
     playlists = {
         track_id: _media_playlist_for(
             content,
@@ -238,7 +254,6 @@ def package_hls(
         )
         for track_id in sorted(track_ids)
     }
-    master = HlsMasterPlaylist(variants=variants, renditions=renditions)
     package = HlsPackage(master=master, media_playlists=playlists)
     if self_lint:
         _self_lint(package.write_all())

@@ -257,10 +257,15 @@ def _replay_scan(path: str, scan: EventScan) -> ReplayedSession:
             continue
         method, fields = folded
         try:
-            args = [
-                decode(event[key] if key in event or default is _REQUIRED else default)
-                for key, decode, default in fields
-            ]
+            try:
+                args = [decode(event[key]) for key, decode, _ in fields]
+            except KeyError:
+                # An older log omits a defaulted field; a missing
+                # required field raises again below.
+                args = [
+                    decode(event[key] if key in event or default is _REQUIRED else default)
+                    for key, decode, default in fields
+                ]
             method(fold, *args)
         except (KeyError, TypeError, ValueError) as exc:
             # A missing or malformed field, or a stall_end with no open

@@ -47,12 +47,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError, SimulationError
 from ..sim.records import SessionResult
 from .cache import ResultCache
-from .jobs import ContentSpec, SimulationJob
+from .jobs import SimulationJob
 
 #: Poll cadence of the watchdog / chaos-recovery loop. Plain blocking
 #: waits are used when neither a deadline nor chaos is configured.
@@ -114,7 +114,6 @@ def _execute(
     cache_root: Optional[str] = None,
     record_dir: Optional[str] = None,
     key: Optional[str] = None,
-    content=None,
 ) -> Tuple[SessionResult, float]:
     """Worker entry point: run one attempt of ``job`` and time it.
 
@@ -128,8 +127,7 @@ def _execute(
 
     ``key`` is the job's :meth:`~SimulationJob.key`, computed once by
     :func:`run_jobs`, which passes it whenever ``chaos`` or
-    ``record_dir`` is set. ``content`` is the job's built title when
-    the caller shares one; a pool worker gets none and builds its own.
+    ``record_dir`` is set.
     """
     if chaos is not None:
         from ..chaos.injector import inject
@@ -141,7 +139,7 @@ def _execute(
 
         log_path = record_path(record_dir, key)
     started = time.perf_counter()
-    result = job.execute(attempt, log_path, key, content)
+    result = job.execute(attempt, log_path, key)
     return result, time.perf_counter() - started
 
 
@@ -218,7 +216,6 @@ def run_jobs(
     chaos=None,
     stats: Optional[EngineStats] = None,
     record_dir: Optional[str] = None,
-    content: Optional[Callable[[ContentSpec], object]] = None,
 ) -> List[JobOutcome]:
     """Run every job, returning outcomes in input order.
 
@@ -234,10 +231,6 @@ def run_jobs(
     cache, a record directory or a chaos schedule needs it; the cache,
     the log replay, the recorder header, the chaos schedule and the
     log labels all share that one key.
-
-    ``content`` maps a job's :class:`~repro.runner.jobs.ContentSpec` to
-    its built title for in-process runs (a :class:`GridRunner` passes
-    its one-build-per-title memo); pool workers build their own.
     """
     stats = stats if stats is not None else EngineStats()
     if chaos is not None and workers <= 1:
@@ -285,12 +278,8 @@ def run_jobs(
         # propagate (the tier-1 suite runs here), KeyboardInterrupt
         # leaves the completed prefix checkpointed in the cache.
         for index in pending:
-            job = jobs[index]
             result, wall = _execute(
-                job,
-                record_dir=record_dir,
-                key=keys[index],
-                content=None if content is None else content(job.content),
+                jobs[index], record_dir=record_dir, key=keys[index]
             )
             outcomes[index] = JobOutcome(
                 jobs[index], result, wall, attempts=1, attempt_times=(wall,)
@@ -637,12 +626,6 @@ class GridRunner:
     is armed, every surviving result is swept by the session-invariant
     checker (:mod:`repro.chaos.invariants`) — a violation raises
     rather than letting a damaged row into a report.
-
-    It also owns one built :class:`~repro.media.content.Content` per
-    distinct :class:`~repro.runner.jobs.ContentSpec`, exposed as
-    :meth:`content`: in-process cells run on it, and the experiment
-    folds their results over the same object, so a title is built
-    once per experiment rather than once per cell.
     """
 
     def __init__(self):
@@ -654,7 +637,6 @@ class GridRunner:
         self.chaos = options.chaos
         self.record_dir = options.record_dir
         self.stats = EngineStats()
-        self._contents: Dict[ContentSpec, object] = {}
         self._simulated = 0
         self._uncached = 0
         self._sim_wall_s = 0.0
@@ -678,7 +660,6 @@ class GridRunner:
             chaos=self.chaos,
             stats=self.stats,
             record_dir=self.record_dir if use_cache else None,
-            content=self.content,
         )
         for outcome in outcomes:
             if outcome.replayed:
@@ -724,18 +705,6 @@ class GridRunner:
                 f"job {first.job.label()}: {first.error}"
             )
         return [outcome.result for outcome in outcomes]
-
-    def content(self, spec: ContentSpec = ContentSpec()):
-        """The built title for ``spec``, built on first use only.
-
-        A derived title is made from this runner's own drama title, so
-        the drama title is synthesized once per runner.
-        """
-        built = self._contents.get(spec)
-        if built is None:
-            drama = self.content() if spec.derived else None
-            built = self._contents[spec] = spec.build(drama)
-        return built
 
     def params(self) -> dict:
         """Runner provenance for ``ExperimentReport.params``."""

@@ -4,9 +4,11 @@ Every experiment describes each session as a :class:`SimulationJob` —
 plain data naming the content, the player build recipe, the bandwidth
 trace, the failure/retry configuration, the live start and a replicate
 seed. Specs (not live objects) cross the process boundary: the worker
-rebuilds the player and network (and, in a pool worker, the content)
-from the spec, so no RNG or player state is ever shared between cells,
-and two processes handed the same spec run byte-identical simulations.
+rebuilds the player and network from the spec, so no RNG or player
+state is ever shared between cells, and two processes handed the same
+spec run byte-identical simulations. Titles are the exception: each
+process builds a :class:`ContentSpec` once and every cell shares that
+immutable object.
 
 Every job has a stable content-addressed :meth:`~SimulationJob.key`
 (sha256 over the canonical spec JSON plus a schema version), which is
@@ -75,24 +77,30 @@ _DERIVED_TITLES: Dict[str, Callable[[object], object]] = {
 }
 
 
+#: The one built title per :class:`ContentSpec` in this process.
+_BUILT: Dict["ContentSpec", object] = {}
+
+
 @dataclass(frozen=True)
 class ContentSpec:
     """A named title: ``drama`` (Table 1) or one made from it."""
 
     name: str = "drama"
 
-    @property
-    def derived(self) -> bool:
-        """Is this title made from the drama title?"""
-        return self.name in _DERIVED_TITLES
+    def build(self):
+        """The built title, synthesized on first use in this process.
 
-    def build(self, drama=None):
-        """Build the title.
-
-        A derived title is made from ``drama`` when the caller already
-        holds the built drama title (a :class:`~repro.runner.GridRunner`
-        does), else from a fresh one; both give equal content.
+        Every later call, and every derived title, reuses that one
+        object, so nothing may change a built title.
         """
+        built = _BUILT.get(self)
+        if built is None:
+            # Memo: the value is a pure function of the frozen spec, so
+            # each worker building its own copy is correct by design.
+            built = _BUILT[self] = self._synthesize()  # lint: allow[POOL-GLOBAL-MUTABLE]
+        return built
+
+    def _synthesize(self):
         if self.name == "drama":
             return drama_show()
         derive = _DERIVED_TITLES.get(self.name)
@@ -101,7 +109,7 @@ class ContentSpec:
             raise ExperimentError(
                 f"unknown content {self.name!r}; known: {known}"
             )
-        return derive(drama_show() if drama is None else drama)
+        return derive(ContentSpec().build())
 
 
 # -- traces -----------------------------------------------------------------
@@ -230,7 +238,7 @@ class PlayerSpec:
         from ..core.chunk_aware import ChunkAwarePlayer
         from ..core.mpc import MpcPlayer
         from ..core.player import RecommendedPlayer
-        from ..manifest.packager import package_dash, package_hls
+        from ..manifest.packager import hls_master, package_dash, package_hls
         from ..players.dashjs import DashJsPlayer
         from ..players.exoplayer import ExoPlayerDash, ExoPlayerHls
         from ..players.shaka import ShakaPlayer
@@ -246,16 +254,10 @@ class PlayerSpec:
         combos = self.combination_set(content)
         listing = None if self.combinations == "all" else combos
         if self.name == "exoplayer-hls":
-            master = package_hls(
-                content,
-                combinations=listing,
-                audio_order=list(self.audio_order) if self.audio_order else None,
-            ).master
-            return ExoPlayerHls(master)
+            audio_order = list(self.audio_order) if self.audio_order else None
+            return ExoPlayerHls(hls_master(content, listing, audio_order))
         if self.name == "shaka":
-            return ShakaPlayer.from_hls(
-                package_hls(content, combinations=listing).master
-            )
+            return ShakaPlayer.from_hls(hls_master(content, listing))
         if self.name == "recommended":
             return RecommendedPlayer(
                 combos, balanced=self.balanced, shared_meter=self.shared_meter
@@ -391,21 +393,19 @@ class SimulationJob:
         key = self.key() if key is None else key
         return f"{self.player.name}/{self.trace.kind}/s{self.seed}#{key[:10]}"
 
-    def build(self, observer=None, content=None):
+    def build(self, observer=None):
         """Rebuild (content, player, network, config) from the spec.
 
         ``observer`` (a :class:`~repro.sim.session.SessionObserver`)
         taps the rebuilt session's event stream — :meth:`execute`
         passes an :class:`~repro.replay.EventRecorder` here when it
-        records. ``content`` is this spec's already-built title, when
-        the caller holds one (a :class:`~repro.runner.GridRunner`
-        builds each distinct title once).
+        records. The content is this process's one built copy of the
+        title (see :meth:`ContentSpec.build`).
         """
         from ..net.link import shared
         from ..sim.session import SessionConfig
 
-        if content is None:
-            content = self.content.build()
+        content = self.content.build()
         player = self.player.build(content)
         network = shared(self.trace.build(), rtt_s=self.rtt_s)
         config = SessionConfig(
@@ -422,7 +422,6 @@ class SimulationJob:
         attempt: int = 1,
         log_path: Optional[str] = None,
         key: Optional[str] = None,
-        content=None,
     ):
         """Rebuild the cell from its spec and run it to a
         :class:`~repro.sim.records.SessionResult`.
@@ -434,7 +433,7 @@ class SimulationJob:
         so a retried attempt rewrites the log — one log is always one
         attempt — and a kill mid-run leaves a torn-but-replayable
         prefix. ``key`` is this job's :meth:`key` when the caller
-        already holds it; ``content`` is handed to :meth:`build`.
+        already holds it.
         """
         from ..sim.session import simulate
 
@@ -453,7 +452,7 @@ class SimulationJob:
                 },
             )
         try:
-            content, player, network, config = self.build(observer, content)
+            content, player, network, config = self.build(observer)
             return simulate(content, player, network, config)
         finally:
             if observer is not None:

@@ -110,25 +110,23 @@ class CohortJob:
         attempt: int = 1,
         log_path: Optional[str] = None,
         key: Optional[str] = None,
-        content=None,
     ):
         """Run the cohort to a :class:`~repro.sim.cohort.CohortResult`.
 
         ``log_path`` writes the schema-2 fault-domain event log there —
         the CI artifact showing which windows opened and who failed
         over where. ``key`` is this job's :meth:`key` when the caller
-        already holds it; ``content`` is the built title when the
-        caller shares one. ``attempt`` is accepted for the runner's job
+        already holds it. ``attempt`` is accepted for the runner's job
         protocol; a cohort run does not depend on it.
         """
-        result = self.kernel(content).run()
+        result = self.kernel().run()
         if log_path is not None:
             self._record_fault_log(
                 result, log_path, self.key() if key is None else key
             )
         return result
 
-    def kernel(self, content=None):
+    def kernel(self):
         """The :class:`~repro.sim.cohort.CohortKernel` that
         :meth:`execute` runs, not yet run; after its ``run()``, its
         ``work()`` holds the exact scheduler counts."""
@@ -137,8 +135,7 @@ class CohortJob:
         from ..core.combinations import curated_combinations
         from ..sim.cohort import CohortKernel
 
-        if content is None:
-            content = self.content.build()
+        content = self.content.build()
         windows = (
             () if self.faults is None else self.faults.windows_for(self.topology)
         )

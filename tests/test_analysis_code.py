@@ -264,6 +264,7 @@ class TestWaiverAudit:
         assert census == {
             ("repro/experiments/base.py", "POOL-GLOBAL-MUTABLE"): 1,
             ("repro/runner/engine.py", "POOL-GLOBAL-MUTABLE"): 2,
+            ("repro/runner/jobs.py", "POOL-GLOBAL-MUTABLE"): 1,
             ("repro/sim/decisions.py", "POOL-GLOBAL-MUTABLE"): 1,
         }
 

@@ -189,9 +189,12 @@ class TestCompare:
             return drama_show()
 
         monkeypatch.setattr(GridRunner, "run", counting_run)
+        monkeypatch.setattr(jobs_module, "_BUILT", {})
         monkeypatch.setattr(jobs_module, "drama_show", counting_drama_show)
         assert main(["compare", "--bandwidth", "900"]) == 0
         assert grids == [5]
+        assert len(builds) == 1
+        assert main(["compare", "--bandwidth", "900"]) == 0
         assert len(builds) == 1
 
 

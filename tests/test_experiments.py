@@ -193,6 +193,8 @@ class TestGridCalls:
 
     @pytest.mark.parametrize("name", ["muxed_vs_demuxed", "fig2a", "fig2b"])
     def test_derived_titles_reuse_the_runners_drama(self, monkeypatch, name):
+        # From an empty title memo the drama title is synthesized once,
+        # derived titles included; a second run synthesizes nothing.
         import repro.runner.jobs as jobs_module
 
         builds = []
@@ -202,7 +204,10 @@ class TestGridCalls:
             builds.append(1)
             return original()
 
+        monkeypatch.setattr(jobs_module, "_BUILT", {})
         monkeypatch.setattr(jobs_module, "drama_show", counting_drama_show)
+        run_experiment(name)
+        assert len(builds) == 1
         run_experiment(name)
         assert len(builds) == 1
 

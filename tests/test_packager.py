@@ -4,7 +4,13 @@ import pytest
 
 from repro.core.combinations import hsub_combinations
 from repro.errors import ManifestError
-from repro.manifest.packager import HlsPackage, package_hls, write_dash_package
+from repro.manifest.hls import HlsMediaPlaylist
+from repro.manifest.packager import (
+    HlsPackage,
+    hls_master,
+    package_hls,
+    write_dash_package,
+)
 from repro.media.content import drama_show
 
 
@@ -73,6 +79,36 @@ class TestHlsPackaging:
         assert "master.m3u8" in files
         assert "V1.m3u8" in files and "A3.m3u8" in files
         assert all(text.startswith("#EXTM3U") for text in files.values())
+
+
+class TestHlsMaster:
+    @pytest.mark.parametrize(
+        "listing, audio_order",
+        [("hsub", None), ("all", None), ("hsub", ["A3", "A2", "A1"])],
+        ids=["hsub", "all", "a3-first"],
+    )
+    def test_equals_the_package_master(self, content, listing, audio_order):
+        combos = hsub_combinations(content) if listing == "hsub" else None
+        package = package_hls(content, combos, audio_order)
+        assert hls_master(content, combos, audio_order) == package.master
+
+    def test_hls_players_build_no_media_playlist(self, content, monkeypatch):
+        from repro.runner.jobs import PlayerSpec
+
+        built = []
+        monkeypatch.setattr(
+            HlsMediaPlaylist, "__post_init__", lambda self: built.append(self)
+        )
+        for spec in (
+            PlayerSpec("exoplayer-hls"),
+            PlayerSpec("exoplayer-hls", audio_order=("A3", "A2", "A1")),
+            PlayerSpec("shaka"),
+            PlayerSpec("shaka", combinations="all"),
+        ):
+            spec.build(content)
+        assert built == []
+        package_hls(content)
+        assert len(built) == 9  # the counter sees a full package
 
 
 class TestDerivedTrackBitrates:

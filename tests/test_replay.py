@@ -255,6 +255,7 @@ class TestSchema:
             ({"chunk_index": "first"}, ()),  # not an integer
             ({"size_bits": None}, ()),  # not a float
             ({}, ("started_at",)),  # a required field missing
+            ({}, ("track_id",)),  # a required str field missing
         ],
     )
     def test_malformed_fields_are_replay_errors(
@@ -283,6 +284,29 @@ class TestSchema:
             f.write(frame_line(encode_event(event)))
         with pytest.raises(ReplayError, match="cannot fold download_complete at seq 1"):
             replay_session(path)
+
+    def test_an_omitted_defaulted_field_takes_its_default(self, content, tmp_path):
+        _, path = record_run(content, tmp_path)
+        from repro.framing import frame_line
+        from repro.replay.events import encode_event
+
+        header = scan_events(path).events[0]
+        event = {
+            "k": "download_complete",
+            "seq": 1,
+            "t": 2.0,
+            "medium": "audio",
+            "track_id": "A1",
+            "chunk_index": 0,
+            "size_bits": 1e6,
+            "started_at": 0.0,
+        }  # no resumed_bits, as an older writer left it out
+        with open(path, "wb") as f:
+            f.write(frame_line(encode_event(header)))
+            f.write(frame_line(encode_event(event)))
+        (download,) = replay_session(path).result.downloads
+        assert download.track_id == "A1"
+        assert download.resumed_bits == 0.0
 
     def test_missing_header_refused(self, tmp_path):
         from repro.framing import frame_line

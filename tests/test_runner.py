@@ -492,67 +492,74 @@ class TestGridRunnerOptions:
 
 
 class TestSharedContent:
-    """A GridRunner builds each title once and every in-process cell
-    runs on that one object, so no player may change it."""
+    """Each process builds a title once and every cell runs on that one
+    object, so no player may change it."""
 
     def test_every_player_shares_one_content_without_changing_it(self):
+        from repro.media.content import drama_show
         from repro.runner.jobs import PLAYER_NAMES, PRACTICE_PLAYER_NAMES
+        from repro.sim.session import simulate
 
         def snapshot(content):
             table = content.chunk_table
             sizes = {tid: table.sizes(tid) for tid in table.track_ids}
             return content.video, content.audio, sizes
 
-        runner = GridRunner()
-        content = runner.content()
+        content = ContentSpec().build()
         before = snapshot(content)
         jobs = [
             SimulationJob(player=PlayerSpec(name), trace=TraceSpec.hspa(2))
             for name in PLAYER_NAMES + PRACTICE_PLAYER_NAMES
         ]
+        runner = GridRunner()
         shared = runner.results(jobs)
-        assert runner.content() is content
         assert runner.params()["simulated"] == len(jobs)
+        assert ContentSpec().build() is content
         assert snapshot(content) == before
         for job, result in zip(jobs, shared):
-            assert result.to_dict() == job.execute().to_dict(), job.player.name
+            # The same cell on a title of its own, synthesized fresh.
+            unshared = drama_show()
+            _, _, network, config = job.build()
+            alone = simulate(unshared, job.player.build(unshared), network, config)
+            assert result.to_dict() == alone.to_dict(), job.player.name
 
     def test_content_is_built_once_per_spec(self, monkeypatch):
+        import repro.runner.jobs as jobs_module
+
         builds = []
-        original = ContentSpec.build
+        original = jobs_module.drama_show
 
-        def counting_build(self, drama=None):
-            builds.append(self.name)
-            return original(self, drama)
+        def counting_drama_show():
+            builds.append(1)
+            return original()
 
-        monkeypatch.setattr(ContentSpec, "build", counting_build)
-        runner = GridRunner()
-        runner.results(
-            [
-                SimulationJob(trace=TraceSpec.constant(kbps))
-                for kbps in (700.0, 1500.0)
-            ]
-            + [SimulationJob(ContentSpec("drama-b"), PlayerSpec("dashjs"))]
-        )
-        runner.content()
-        runner.content(ContentSpec("drama-b"))
-        assert builds == ["drama", "drama-b"]
-
+        monkeypatch.setattr(jobs_module, "_BUILT", {})
+        monkeypatch.setattr(jobs_module, "drama_show", counting_drama_show)
+        for seed in range(100):
+            (outcome,) = run_jobs([SimulationJob(seed=seed)])
+            assert outcome.ok
+        assert len(builds) == 1
+        for name in ("drama-b", "drama-c", "drama-muxed"):
+            spec = ContentSpec(name)
+            assert spec.build() is spec.build()
+        assert ContentSpec().build() is ContentSpec().build()
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("name", ["drama-b", "drama-c", "drama-muxed"])
     def test_derived_title_equals_a_bare_build(self, name):
-        # A pool worker builds its title with a bare build(); the runner
-        # derives it from its own drama title. Both must agree.
+        # The memo derives the title from the shared drama title; one
+        # derived from a fresh drama title must be equal.
+        from repro.media.content import drama_show
+        from repro.runner.jobs import _DERIVED_TITLES
+
         def snapshot(content):
             table = content.chunk_table
             sizes = {tid: tuple(table.sizes(tid)) for tid in table.track_ids}
             return content.name, content.video, content.audio, sizes
 
         spec = ContentSpec(name)
-        runner = GridRunner()
-        assert spec.derived
-        assert snapshot(runner.content(spec)) == snapshot(spec.build())
-        assert runner.content(spec) is runner.content(spec)
+        fresh = _DERIVED_TITLES[name](drama_show())
+        assert snapshot(spec.build()) == snapshot(fresh)
 
 
 class TestExperimentEquivalence:
