@@ -88,7 +88,7 @@ def test_bench_record_then_replay(benchmark, tmp_path):
     outcome, replayed = benchmark.pedantic(
         record_then_replay, setup=lambda: ((next(dirs),), {}), rounds=15
     )
-    assert not outcome.replayed and outcome.result.completed
+    assert not outcome.cached and outcome.result.completed
     assert replayed.intact and replayed.has_verdict
     assert replayed.result.summary() == outcome.result.summary()
 

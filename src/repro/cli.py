@@ -628,8 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help="record every simulated session's event log to "
-            "DIR/<job key>.events.jsonl; intact logs double as a cache "
-            "(replayed instead of re-simulated on the next run)",
+            "DIR/<job key>.events.jsonl; a complete log already there is "
+            "kept as it is (the session still runs, unrecorded)",
         )
 
     run_parser = sub.add_parser("run", help="run experiments")

@@ -91,6 +91,8 @@ def unframe_payload(data: bytes) -> Tuple[Optional[bytes], str]:
 LINE_MAGIC = b"REV1"
 #: ``REV1 xxxxxxxx yyyyyyyy `` — magic, length hex, CRC hex, 3 spaces.
 _LINE_PREFIX_LEN = len(LINE_MAGIC) + 1 + 8 + 1 + 8 + 1
+#: The canonical header of a payload: ``_LINE_HEADER % (length, crc)``.
+_LINE_HEADER = LINE_MAGIC + b" %08x %08x "
 
 
 def frame_line(payload: bytes) -> bytes:
@@ -182,16 +184,24 @@ def scan_lines(data: bytes) -> LineScan:
     lines = data.split(b"\n")
     unterminated = lines[-1] != b""
     complete = lines[:-1]  # the final element is b"" or a torn tail
+    payloads = scan.payloads
     for number, line in enumerate(complete, 1):
-        payload, kind, detail = _classify_line(line)
-        if kind is not OK:
-            # Damage on a newline-terminated line: the writer finished
-            # the line, so a short payload here is not a tear.
-            scan.damage = CORRUPT
-            scan.damage_line = number
-            scan.damage_detail = detail or "damaged line"
-            return scan
-        scan.payloads.append(payload)
+        payload = line[_LINE_PREFIX_LEN:]
+        # Fast path: the header frame_line would write for this payload.
+        # Anything else (damage, or upper-case hex) is classified below.
+        if line[:_LINE_PREFIX_LEN] != _LINE_HEADER % (
+            len(payload),
+            zlib.crc32(payload),
+        ):
+            payload, kind, detail = _classify_line(line)
+            if kind is not OK:
+                # Damage on a newline-terminated line: the writer
+                # finished the line, so a short payload is not a tear.
+                scan.damage = CORRUPT
+                scan.damage_line = number
+                scan.damage_detail = detail or "damaged line"
+                return scan
+        payloads.append(payload)
     if unterminated:
         payload, kind, detail = _classify_line(lines[-1])
         if kind is OK:

@@ -42,7 +42,7 @@ from .diff import (
     diff_event_logs,
     diff_event_streams,
 )
-from .recorder import EventRecorder, record_path
+from .recorder import EventRecorder, is_complete_log, record_path
 from .replayer import ReplayContent, ReplayedSession, replay_session, scan_events
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "diff_event_logs",
     "diff_event_streams",
     "encode_event",
+    "is_complete_log",
     "record_path",
     "replay_session",
     "scan_events",

@@ -9,7 +9,8 @@ The file is truncated when the recorder opens it — one log is one
 session attempt — and then written append-only, the idiom proven by
 the chaos event log. Runner workers key their logs by job hash via
 :func:`record_path`, so a grid's recording directory is content
-addressed the same way as its result cache.
+addressed the same way as its result cache, and keep a complete log
+(:func:`is_complete_log`) instead of recording the same run again.
 """
 
 from __future__ import annotations
@@ -17,15 +18,46 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from ..framing import frame_line
-from .events import EventKind, encode_event, schema_for_meta
+from ..framing import frame_line, scan_line_file
+from .events import (
+    EventKind,
+    ReplayError,
+    decode_event,
+    encode_event,
+    schema_for_meta,
+)
 
 _SESSION_META = EventKind.SESSION_META.value
+_VERDICT = EventKind.VERDICT.value
 
 
 def record_path(record_dir: str, key: str) -> str:
     """The event-log path for one job key inside a recording directory."""
     return os.path.join(record_dir, f"{key}.events.jsonl")
+
+
+def is_complete_log(path: str, key: str) -> bool:
+    """Does ``path`` hold a whole recording of job ``key``?
+
+    Whole means every line passes its CRC frame, the header names
+    ``key``, and the last event is the ``verdict``. Recording is
+    deterministic, so recording the job again would write the same
+    events; a missing, torn, corrupt or foreign log is not whole.
+    Payloads are not folded: a hand-edited line with a recomputed CRC
+    passes here and still fails ``replay``.
+    """
+    try:
+        scan = scan_line_file(path)
+    except OSError:
+        return False
+    if not scan.intact or not scan.payloads:
+        return False
+    try:
+        header = decode_event(scan.payloads[0])
+        last = decode_event(scan.payloads[-1])
+    except ReplayError:
+        return False
+    return header.get("key") == key and last["k"] == _VERDICT
 
 
 class EventRecorder:

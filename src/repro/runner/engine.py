@@ -40,7 +40,6 @@ every chaos-surviving result.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -77,8 +76,7 @@ class JobOutcome:
     attempts: int = 1
     attempt_times: Tuple[float, ...] = ()
     error: Optional[str] = None
-    #: The result was reconstructed from a recorded event log rather
-    #: than the result cache or a fresh simulation (see ``record_dir``).
+    #: Always ``False``: kept for ``benchmarks/e2e/workloads.py``.
     replayed: bool = False
 
     @property
@@ -123,7 +121,9 @@ def _execute(
     process, sleep past the deadline, raise, or tear a cache entry.
     Every job type builds, runs and records itself through
     ``execute(attempt, log_path, key)``; with ``record_dir`` set its
-    log goes to ``<record_dir>/<job key>.events.jsonl``.
+    log goes to ``<record_dir>/<job key>.events.jsonl``, unless a
+    complete log of this key is already there: then the job runs
+    unrecorded and that log is kept as it is.
 
     ``key`` is the job's :meth:`~SimulationJob.key`, computed once by
     :func:`run_jobs`, which passes it whenever ``chaos`` or
@@ -135,40 +135,14 @@ def _execute(
         inject(chaos, key, attempt, cache_root)
     log_path = None
     if record_dir is not None:
-        from ..replay.recorder import record_path
+        from ..replay.recorder import is_complete_log, record_path
 
         log_path = record_path(record_dir, key)
+        if is_complete_log(log_path, key):
+            log_path = None
     started = time.perf_counter()
     result = job.execute(attempt, log_path, key)
     return result, time.perf_counter() - started
-
-
-def _replay_from_log(
-    job: SimulationJob, record_dir: str, key: str
-) -> Optional[SessionResult]:
-    """A complete recorded log is a second cache: replay it if sound.
-
-    Only an intact log (no tear, no corruption) whose verdict survived
-    and whose embedded key matches the job is trusted; anything else
-    returns ``None`` and the cell simulates fresh, overwriting the log.
-    """
-    if not isinstance(job, SimulationJob):
-        return None  # only session logs replay; cohort logs are artifacts
-    from ..replay.recorder import record_path
-    from ..replay.replayer import replay_session
-
-    path = record_path(record_dir, key)
-    if not os.path.exists(path):
-        return None
-    try:
-        replayed = replay_session(path)
-    except Exception:
-        return None  # damaged/foreign log: fall through to simulation
-    if not replayed.intact or not replayed.has_verdict:
-        return None
-    if replayed.meta.get("key") != key:
-        return None
-    return replayed.result
 
 
 class _JobState:
@@ -229,7 +203,7 @@ def run_jobs(
 
     Each job's key is hashed at most once per call, and only when a
     cache, a record directory or a chaos schedule needs it; the cache,
-    the log replay, the recorder header, the chaos schedule and the
+    the log path, the recorder header, the chaos schedule and the
     log labels all share that one key.
     """
     stats = stats if stats is not None else EngineStats()
@@ -253,20 +227,6 @@ def run_jobs(
                     cached=True,
                     attempts=0,
                 )
-                continue
-        if record_dir is not None:
-            replayed = _replay_from_log(job, record_dir, keys[index])
-            if replayed is not None:
-                outcomes[index] = JobOutcome(
-                    job=job,
-                    result=replayed,
-                    wall_time_s=0.0,
-                    cached=True,
-                    attempts=0,
-                    replayed=True,
-                )
-                if cache is not None:
-                    cache.put(keys[index], replayed)
                 continue
         pending.append(index)
 
@@ -551,8 +511,8 @@ class RunnerOptions:
     job_retries: int = 2
     chaos: Optional[object] = None
     #: Directory for per-job event logs (``--record``): each cell's
-    #: session streams to ``<record_dir>/<job key>.events.jsonl``, and
-    #: intact logs double as a second cache (replay instead of re-run).
+    #: session streams to ``<record_dir>/<job key>.events.jsonl``; a
+    #: complete log already there is kept, not recorded again.
     record_dir: Optional[str] = None
 
 
@@ -642,7 +602,6 @@ class GridRunner:
         self._sim_wall_s = 0.0
         self._slowest_s = 0.0
         self._invariants_checked = 0
-        self._replayed = 0
 
     def run(
         self, jobs: Sequence[SimulationJob], use_cache: bool = True
@@ -662,8 +621,6 @@ class GridRunner:
             record_dir=self.record_dir if use_cache else None,
         )
         for outcome in outcomes:
-            if outcome.replayed:
-                self._replayed += 1
             if not outcome.cached and outcome.ok:
                 if use_cache:
                     self._simulated += 1
@@ -722,7 +679,6 @@ class GridRunner:
             stats["job_timeout_s"] = self.job_timeout_s
         if self.record_dir is not None:
             stats["record_dir"] = self.record_dir
-            stats["replayed_from_log"] = self._replayed
         if self.chaos is not None:
             stats["chaos"] = self.chaos.spec()
             stats["job_retries"] = self.job_retries

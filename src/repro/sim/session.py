@@ -361,7 +361,10 @@ class Session:
         self._resume_stash: Dict[MediaType, Tuple[str, int, float]] = {}
         #: Degraded-termination reason; set ends the run loop cleanly.
         self._terminated: Optional[str] = None
-        self.ctx = SessionContext(self)
+        #: The player's window; ``None`` once :meth:`run` returns, since
+        #: its back-reference to this session is a cycle that would
+        #: leave every finished session to the cycle collector.
+        self.ctx: Optional[SessionContext] = SessionContext(self)
         # Last emitted sample, for deduping coincident zero-dt events
         # that would otherwise sample twice at the identical instant.
         # The first sample is taken at t=0, with nothing buffered.
@@ -1097,6 +1100,7 @@ class Session:
             return self._finish()
         finally:
             self._fold.seal()
+            self.ctx = None
 
     def _finish(self) -> SessionResult:
         """Fold the session's end after the event loop stops."""

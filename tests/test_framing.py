@@ -105,6 +105,16 @@ class TestLineFraming:
         assert scan.damage == CORRUPT
         assert scan.damage_line == 2
 
+    def test_upper_case_hex_header_is_still_intact(self):
+        # frame_line writes lower-case hex; a header that differs from
+        # it only in case passes the full classifier, not the fast path.
+        line = frame_line(b'{"k":"a","xyz":1}')  # crc 7f205dae
+        upper = line[:23].upper() + line[23:]
+        assert upper != line
+        scan = scan_lines(upper)
+        assert scan.intact
+        assert scan.payloads == [b'{"k":"a","xyz":1}']
+
     def test_short_header_tear_is_truncated(self):
         scan = scan_lines(frame_line(b'{"k":"a"}') + b"REV1 00")
         assert scan.damage == TRUNCATED

@@ -19,6 +19,7 @@ from repro.replay import (
     EventKind,
     EventRecorder,
     ReplayError,
+    is_complete_log,
     record_path,
     replay_session,
     scan_events,
@@ -360,19 +361,36 @@ class TestSchema:
             json.loads(payload.decode("utf-8"))  # must not need NaN/Infinity
 
 
+SHAKA = SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0))
+DASHJS = SimulationJob(player=PlayerSpec("dashjs"), trace=TraceSpec.constant(700.0))
+#: An mtime far in the past, so any rewrite of a log shows.
+_OLD_NS = 1_000_000_000
+
+
+def _aged(path):
+    """Set ``path``'s mtime to ``_OLD_NS``; returns its bytes."""
+    os.utime(path, ns=(_OLD_NS, _OLD_NS))
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _assert_kept(path, recorded):
+    with open(path, "rb") as f:
+        assert f.read() == recorded
+    assert os.stat(path).st_mtime_ns == _OLD_NS
+
+
+def _flip(data, offset):
+    """``data`` with one bit flipped at ``offset``."""
+    return data[:offset] + bytes([data[offset] ^ 0x01]) + data[offset + 1 :]
+
+
 class TestRunnerRecording:
     def test_record_dir_writes_keyed_logs(self, tmp_path):
         from repro.runner.engine import run_jobs
 
         record_dir = str(tmp_path / "rec")
-        jobs = [
-            SimulationJob(
-                player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0)
-            ),
-            SimulationJob(
-                player=PlayerSpec("dashjs"), trace=TraceSpec.constant(700.0)
-            ),
-        ]
+        jobs = [SHAKA, DASHJS]
         outcomes = run_jobs(jobs, record_dir=record_dir)
         for job, outcome in zip(jobs, outcomes):
             path = record_path(record_dir, job.key())
@@ -383,46 +401,80 @@ class TestRunnerRecording:
             # The embedded spec is re-runnable.
             assert SimulationJob.from_spec(replayed.job_spec).key() == job.key()
 
-    def test_intact_log_replays_instead_of_resimulating(self, tmp_path):
+    def test_a_complete_log_is_kept_and_the_job_simulates(self, tmp_path):
         from repro.runner.engine import run_jobs
 
         record_dir = str(tmp_path / "rec")
-        jobs = [
-            SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0))
-        ]
-        first = run_jobs(jobs, record_dir=record_dir)
-        second = run_jobs(jobs, record_dir=record_dir)
-        assert not first[0].replayed
-        assert second[0].replayed and second[0].cached
+        first = run_jobs([SHAKA], record_dir=record_dir)
+        path = record_path(record_dir, SHAKA.key())
+        recorded = _aged(path)
+        second = run_jobs([SHAKA], record_dir=record_dir)
+        _assert_kept(path, recorded)
+        assert not second[0].cached and not second[0].replayed
         assert second[0].result.summary() == first[0].result.summary()
 
-    def test_torn_log_falls_back_to_simulation(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["torn", "flipped", "foreign"])
+    def test_an_incomplete_log_is_recorded_again_whole(self, tmp_path, damage):
         from repro.runner.engine import run_jobs
 
         record_dir = str(tmp_path / "rec")
-        jobs = [
-            SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0))
-        ]
-        run_jobs(jobs, record_dir=record_dir)
-        path = record_path(record_dir, jobs[0].key())
-        with open(path, "r+b") as f:
-            f.truncate(os.path.getsize(path) - 10)
-        outcome = run_jobs(jobs, record_dir=record_dir)[0]
-        assert not outcome.replayed  # torn log is not trusted as a cache
-        assert replay_session(path).has_verdict  # ...and was re-recorded whole
+        run_jobs([SHAKA, DASHJS], record_dir=record_dir)
+        path = record_path(record_dir, SHAKA.key())
+        with open(path, "rb") as f:
+            recorded = f.read()
+        if damage == "torn":
+            data = recorded[:-10]
+        elif damage == "flipped":
+            data = _flip(recorded, len(recorded) // 2)
+        else:  # another job's whole log under this key
+            with open(record_path(record_dir, DASHJS.key()), "rb") as f:
+                data = f.read()
+        with open(path, "wb") as f:
+            f.write(data)
+        _aged(path)
+        assert not is_complete_log(path, SHAKA.key())
+        run_jobs([SHAKA], record_dir=record_dir)
+        with open(path, "rb") as f:
+            assert f.read() == recorded
+        assert os.stat(path).st_mtime_ns != _OLD_NS
 
     def test_pool_workers_record_too(self, tmp_path):
         from repro.runner.engine import run_jobs
 
         record_dir = str(tmp_path / "rec")
-        jobs = [
-            SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0)),
-            SimulationJob(player=PlayerSpec("dashjs"), trace=TraceSpec.constant(700.0)),
-        ]
-        outcomes = run_jobs(jobs, workers=2, record_dir=record_dir)
-        for job, outcome in zip(jobs, outcomes):
+        jobs = [SHAKA, DASHJS]
+        first = run_jobs(jobs, workers=2, record_dir=record_dir)
+        for job, outcome in zip(jobs, first):
             replayed = replay_session(record_path(record_dir, job.key()))
             assert replayed.result.summary() == outcome.result.summary()
+        kept = record_path(record_dir, SHAKA.key())
+        torn = record_path(record_dir, DASHJS.key())
+        kept_bytes = _aged(kept)
+        torn_bytes = _aged(torn)
+        with open(torn, "r+b") as f:
+            f.truncate(len(torn_bytes) - 10)
+        second = run_jobs(jobs, workers=2, record_dir=record_dir)
+        _assert_kept(kept, kept_bytes)
+        with open(torn, "rb") as f:
+            assert f.read() == torn_bytes
+        for before, after in zip(first, second):
+            assert not after.cached
+            assert after.result.summary() == before.result.summary()
+
+    def test_a_complete_cohort_fault_log_is_kept(self, tmp_path):
+        from repro.runner.engine import run_jobs
+        from tests.test_topology import outage, small_job
+
+        record_dir = str(tmp_path / "rec")
+        job = small_job(n_sessions=6, faults=outage())
+        first = run_jobs([job], record_dir=record_dir)
+        path = record_path(record_dir, job.key())
+        assert is_complete_log(path, job.key())
+        recorded = _aged(path)
+        second = run_jobs([job], record_dir=record_dir)
+        _assert_kept(path, recorded)
+        assert not second[0].cached
+        assert second[0].result.fingerprint() == first[0].result.fingerprint()
 
     def test_grid_runner_reports_provenance(self, tmp_path):
         from repro.runner.engine import GridRunner, runner_options
@@ -430,14 +482,12 @@ class TestRunnerRecording:
         record_dir = str(tmp_path / "rec")
         with runner_options(record_dir=record_dir):
             runner = GridRunner()
-        jobs = [
-            SimulationJob(player=PlayerSpec("shaka"), trace=TraceSpec.constant(900.0))
-        ]
-        runner.run(jobs)
-        runner.run(jobs)
+        runner.run([SHAKA])
+        runner.run([SHAKA])
         params = runner.params()
         assert params["record_dir"] == record_dir
-        assert params["replayed_from_log"] == 1
+        assert params["simulated"] == 2  # results never come from a log
+        assert "replayed_from_log" not in params
 
     def test_spec_round_trip_through_json(self):
         job = SimulationJob(
@@ -450,6 +500,78 @@ class TestRunnerRecording:
         )
         spec = json.loads(json.dumps(job.spec_dict()))
         assert SimulationJob.from_spec(spec).key() == job.key()
+
+
+class TestKeepCheck:
+    """``is_complete_log`` against the replayer it stands in for."""
+
+    KEY = "k" * 64
+
+    def _short_log(self, tmp_path):
+        from tests.test_session import flat_content
+        from repro.players.fixed import FixedTracksPlayer
+
+        path = str(tmp_path / "short.events.jsonl")
+        config = SessionConfig(observer=EventRecorder(path, {"key": self.KEY}))
+        network = shared(constant(1000.0))
+        content = flat_content(n_chunks=2)
+        Session(content, FixedTracksPlayer("V1", "A1"), network, config).run()
+        with open(path, "rb") as f:
+            return path, f.read()
+
+    @staticmethod
+    def _replayer_keeps(path, key):
+        try:
+            replayed = replay_session(path)
+        except ReplayError:
+            return False
+        return (
+            replayed.intact
+            and replayed.has_verdict
+            and replayed.meta.get("key") == key
+        )
+
+    def test_agrees_with_the_replayer_at_every_tear_and_a_flip(self, tmp_path):
+        _, data = self._short_log(tmp_path)
+        variants = [data[:end] for end in range(len(data) + 1)]
+        variants.append(_flip(data, len(data) // 2))
+        probe = str(tmp_path / "probe.events.jsonl")
+        kept = []
+        for variant in variants:
+            with open(probe, "wb") as f:
+                f.write(variant)
+            keep = is_complete_log(probe, self.KEY)
+            assert keep == self._replayer_keeps(probe, self.KEY), len(variant)
+            kept.append(keep)
+        assert kept.count(True) == 1 and kept[len(data)]
+
+    def test_a_foreign_or_missing_log_is_not_kept(self, tmp_path):
+        path, _ = self._short_log(tmp_path)
+        other = "o" * 64
+        assert not is_complete_log(path, other)
+        assert not self._replayer_keeps(path, other)
+        assert not is_complete_log(str(tmp_path / "absent.events.jsonl"), self.KEY)
+
+    def test_a_hand_edited_crc_valid_log_is_kept_yet_does_not_replay(
+        self, tmp_path
+    ):
+        # The one known difference from the replayer: the check reads
+        # frames and the first and last events, but folds nothing. No
+        # result is read from a kept log, and replay still refuses it.
+        from repro.framing import frame_line
+        from repro.replay import decode_event, encode_event
+
+        path, data = self._short_log(tmp_path)
+        lines = data.splitlines(keepends=True)
+        verdict = decode_event(lines[-1].split(b" ", 3)[3].rstrip(b"\n"))
+        assert verdict["k"] == "verdict"
+        del verdict["t"]  # a required field of ResultFold.verdict
+        lines[-1] = frame_line(encode_event(verdict))
+        with open(path, "wb") as f:
+            f.write(b"".join(lines))
+        assert is_complete_log(path, self.KEY)
+        with pytest.raises(ReplayError, match="cannot fold verdict"):
+            replay_session(path)
 
 
 class TestRecorder:

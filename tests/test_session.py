@@ -1,7 +1,9 @@
 """End-to-end session mechanics with a deterministic fixed player."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -10,9 +12,17 @@ from repro.media.chunks import ChunkTable
 from repro.media.content import Content
 from repro.media.tracks import MediaType, audio_track, make_ladder, video_track
 from repro.net.link import SeparatePaths, shared
+from repro.net.resilience import RetryPolicy
 from repro.net.traces import constant, from_pairs
 from repro.players.base import BasePlayer
 from repro.players.fixed import FixedTracksPlayer
+from repro.runner.jobs import (
+    PLAYER_NAMES,
+    FailureSpec,
+    PlayerSpec,
+    SimulationJob,
+    TraceSpec,
+)
 from repro.sim.decisions import Download, download_for
 from repro.sim.session import Session, SessionConfig, simulate
 
@@ -338,3 +348,27 @@ class TestResultAccessors:
         result = simulate(content, FixedTracksPlayer("V1", "A1"), shared(constant(1000.0)))
         assert result.time_weighted_bitrate_kbps(V) == pytest.approx(100.0)
         assert result.time_weighted_bitrate_kbps(A) == pytest.approx(48.0)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
+    @pytest.mark.parametrize("name", PLAYER_NAMES)
+    def test_a_finished_session_is_freed_by_refcount(self, name, failing):
+        # Nothing of a finished session may sit in a reference cycle, or
+        # each one (its result included) waits for the cycle collector
+        # and peak memory follows collector timing.
+        job = SimulationJob(
+            player=PlayerSpec(name),
+            trace=TraceSpec.constant(900.0),
+            failure=FailureSpec(0.2, seed=1, taxonomy=True) if failing else None,
+            retry_policy=RetryPolicy() if failing else None,
+        )
+        session = Session(*job.build())
+        gc.disable()
+        try:
+            result = session.run()
+            refs = [weakref.ref(o) for o in (session, session.player, result)]
+            del session, result
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
