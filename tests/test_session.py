@@ -18,6 +18,7 @@ from repro.players.base import BasePlayer
 from repro.players.fixed import FixedTracksPlayer
 from repro.runner.jobs import (
     PLAYER_NAMES,
+    PRACTICE_PLAYER_NAMES,
     FailureSpec,
     PlayerSpec,
     SimulationJob,
@@ -370,5 +371,21 @@ class TestLifetime:
             refs = [weakref.ref(o) for o in (session, session.player, result)]
             del session, result
             assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", PLAYER_NAMES + PRACTICE_PLAYER_NAMES)
+    def test_a_finished_session_leaves_nothing_for_the_collector(self, name):
+        # Decision code may not leave cycles behind either (a recursive
+        # closure is one): with the collector off, everything a session
+        # allocated must already be gone when the collector runs.
+        job = SimulationJob(player=PlayerSpec(name), trace=TraceSpec.constant(900.0))
+        session = Session(*job.build())
+        gc.collect()
+        gc.disable()
+        try:
+            session.run()
+            del session
+            assert gc.collect() == 0
         finally:
             gc.enable()
