@@ -6,11 +6,14 @@ conformance plus the paper's Section 4.1 best practices (curated
 combination sets, per-track bandwidth). It reads manifests through the
 span-keeping readers of :mod:`repro.manifest` (``hls.scan_playlist``,
 ``dash.parse_xml``) that the strict parsers share. For the simulator's
-own Python source it runs the determinism lint (``DET-*``,
-:mod:`repro.analysis.pylint_determinism`) and the pickle/fork-safety
-lint (``POOL-*``, :mod:`repro.analysis.code_pool`), one file at a time,
+own Python source it runs the set-order lint (``DET-SET-ORDER``,
+:mod:`repro.analysis.pylint_determinism`) and the fork-safety lint
+(``POOL-*``, :mod:`repro.analysis.code_pool`), one file at a time,
 with one inline suppression grammar (``# lint: allow[RULE-ID]``, see
-:mod:`repro.analysis.code_engine`).
+:mod:`repro.analysis.code_engine`). These cover hazards the result
+oracles can miss; unseeded randomness, wall-clock reads and
+unpicklable pool jobs change the pinned event logs, report pins or
+the ``spawn`` pool test, so they have no rule.
 
 Entry points:
 

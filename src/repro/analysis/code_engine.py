@@ -5,7 +5,7 @@ bundles the AST, the raw :class:`~repro.analysis.spans.Document` and a
 tokenizer-accurate comment map. The comment map drives the **one**
 inline suppression grammar all code rules share::
 
-    x = random.random()  # lint: allow[DET-UNSEEDED-RANDOM] justification...
+    pid = os.fork()  # lint: allow[POOL-FORK-UNSAFE] justification...
 
 ``# lint: allow[ID, ID2]`` suppresses the named rules on that line;
 ``# lint: allow[*]`` suppresses every code rule. Suppression is applied

@@ -1,15 +1,16 @@
-"""Pickle/fork-safety lint (``POOL-*``) for the simulator's own source.
+"""Fork-safety lint (``POOL-*``) for the simulator's own source.
 
-The runner ships job specs to ``ProcessPoolExecutor`` workers by
-pickle and relies on the platform's default start method. A spec
-dataclass (any class named ``*Spec`` / ``*Job`` by the runner's
-convention) must be picklable by construction, worker-executed code
-must not capture lambdas or open handles, module-level mutable state
-mutated inside functions diverges silently between workers, and
-forcing the ``fork`` start method (or forking by hand) copies parent
-locks and threads into workers — a hazard where ``fork`` is not the
-default (macOS, and Linux from Python 3.14), which neither the tests
-nor the recorded event logs can see on a Linux ``fork`` host.
+The runner ships job specs to ``ProcessPoolExecutor`` workers and
+relies on the platform's default start method. Module-level mutable
+state mutated inside functions diverges silently between workers: a
+worker's write never reaches the parent, and where that state only
+feeds run statistics no result row changes, so no oracle sees it.
+Forcing the ``fork`` start method by hand or forking directly copies
+parent locks and threads into workers — a hazard where ``fork`` is not
+the default (macOS, and Linux from Python 3.14), which neither the
+tests nor the recorded event logs can see on a Linux ``fork`` host.
+(A job that cannot cross the process boundary by pickle needs no
+lint: ``run --all --jobs 2`` and the ``spawn`` pool test fail on it.)
 
 Every rule is per-file: it reads one :class:`PySource` and nothing else.
 """
@@ -22,24 +23,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from .code_engine import PySource
 from .findings import Finding, Severity
 from .registry import Category, Kind, rule
-
-#: Type names that are never picklable-by-construction when they
-#: appear in a spec dataclass field annotation.
-_UNPICKLABLE_TYPES = {
-    "Callable",
-    "IO",
-    "TextIO",
-    "BinaryIO",
-    "Iterator",
-    "Generator",
-    "Lock",
-    "RLock",
-    "Condition",
-    "Semaphore",
-    "Thread",
-    "socket",
-    "Connection",
-}
 
 #: Methods that mutate a list/dict/set/deque in place.
 _MUTATOR_METHODS = {
@@ -56,15 +39,6 @@ _MUTATOR_METHODS = {
     "remove",
     "discard",
     "clear",
-}
-
-_EXECUTOR_SUBMIT_METHODS = {
-    "submit",
-    "map",
-    "imap",
-    "imap_unordered",
-    "apply_async",
-    "starmap",
 }
 
 _MUTABLE_CTORS = {
@@ -158,125 +132,6 @@ class _ProcessImports:
                 for alias in node.names:
                     if alias.name == "fork":
                         self.fork_funcs[alias.asname or alias.name] = "os.fork"
-
-
-def _decorated_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _is_spec_class(node: ast.ClassDef) -> bool:
-    """The runner's convention: picklable-by-construction job-spec
-    dataclasses are named ``*Spec`` or ``*Job``."""
-    return node.name.endswith(("Spec", "Job"))
-
-
-@rule(
-    "POOL-UNPICKLABLE-FIELD",
-    Severity.ERROR,
-    Category.POOL,
-    Kind.PYTHON,
-    summary="job-spec dataclass fields must be picklable by construction",
-    reference="repro.runner.jobs spec contract; docs/runner_robustness.md",
-)
-def check_unpicklable_field(src: PySource, ctx) -> Iterator[Finding]:
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not (_decorated_dataclass(node) and _is_spec_class(node)):
-            continue
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                bad = None
-                for ann in ast.walk(stmt.annotation):
-                    name = None
-                    if isinstance(ann, ast.Name):
-                        name = ann.id
-                    elif isinstance(ann, ast.Attribute):
-                        name = ann.attr
-                    if name in _UNPICKLABLE_TYPES:
-                        bad = name
-                        break
-                if bad is not None:
-                    yield check_unpicklable_field.rule.finding(
-                        f"field {stmt.target.id!r} of spec dataclass "
-                        f"{node.name} is annotated {bad}, which cannot "
-                        "cross the worker process boundary by pickle; "
-                        "store a registry name or an importable "
-                        "(module, function) pair instead",
-                        src.span(stmt),
-                        line_text=src.line_text(stmt),
-                    )
-                elif isinstance(stmt.value, ast.Lambda):
-                    yield check_unpicklable_field.rule.finding(
-                        f"field {stmt.target.id!r} of spec dataclass "
-                        f"{node.name} defaults to a lambda, which cannot "
-                        "be pickled into a worker",
-                        src.span(stmt),
-                        line_text=src.line_text(stmt),
-                    )
-
-
-@rule(
-    "POOL-LAMBDA-SUBMIT",
-    Severity.ERROR,
-    Category.POOL,
-    Kind.PYTHON,
-    summary="lambdas and open handles must not be captured into worker jobs",
-    reference="repro.runner.engine (ProcessPoolExecutor pickles submissions)",
-)
-def check_lambda_submit(src: PySource, ctx) -> Iterator[Finding]:
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        is_submit = (
-            isinstance(func, ast.Attribute)
-            and func.attr in _EXECUTOR_SUBMIT_METHODS
-        )
-        callee = None
-        if isinstance(func, ast.Name):
-            callee = func.id
-        elif isinstance(func, ast.Attribute):
-            callee = func.attr
-        is_spec_ctor = callee is not None and callee.endswith(("Spec", "Job"))
-        if not (is_submit or is_spec_ctor):
-            continue
-        where = (
-            f"{callee}(...)" if is_spec_ctor and not is_submit else
-            f".{func.attr}(...)"
-        )
-        args = list(node.args) + [kw.value for kw in node.keywords]
-        for arg in args:
-            if isinstance(arg, ast.Lambda):
-                yield check_lambda_submit.rule.finding(
-                    f"lambda passed to {where} cannot be pickled into a "
-                    "worker process; use a module-level function",
-                    src.span(arg),
-                    line_text=src.line_text(arg),
-                )
-            elif (
-                isinstance(arg, ast.Call)
-                and isinstance(arg.func, ast.Name)
-                and arg.func.id == "open"
-            ):
-                yield check_lambda_submit.rule.finding(
-                    f"open file handle passed to {where} cannot be "
-                    "pickled into a worker process; pass the path and "
-                    "open inside the worker",
-                    src.span(arg),
-                    line_text=src.line_text(arg),
-                )
 
 
 def _module_level_names(tree: ast.Module) -> Tuple[set, set]:

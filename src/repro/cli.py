@@ -815,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = sub.add_parser(
         "lint",
         help="static-analyze manifests (RFC 8216 / DASH-IF / Section 4.1) "
-        "and Python sources (determinism DET-*, pickle/fork safety POOL-*)",
+        "and Python sources (set order DET-SET-ORDER, fork safety POOL-*)",
     )
     lint_parser.add_argument(
         "paths",

@@ -1,4 +1,4 @@
-"""Code rules: the POOL-* pickle/fork-safety family, the unified
+"""Code rules: the POOL-* fork-safety family, the unified
 suppression grammar, stale-waiver hygiene (LINT-UNUSED-SUPPRESS and its
 autofix), and the mutation-fixture corpus.
 
@@ -43,7 +43,7 @@ CLEAN_FIXTURES = sorted(FIXTURES.glob("*_clean.py"))
 
 class TestFixtureCorpus:
     def test_corpus_is_paired(self):
-        assert len(BAD_FIXTURES) == len(CLEAN_FIXTURES) == 5
+        assert len(BAD_FIXTURES) == len(CLEAN_FIXTURES) == 3
         assert [rule_id_of(p) for p in BAD_FIXTURES] == [
             rule_id_of(p) for p in CLEAN_FIXTURES
         ]
@@ -68,88 +68,51 @@ class TestFixtureCorpus:
 
 
 class TestSuppressionGrammar:
-    BUG = "import random\nx = random.random(){comment}\n"
+    BUG = "import os\nx = os.fork(){comment}\n"
+    #: One line on which two rules fire.
+    BOTH = "import os\nx = [os.fork() for _ in {{1, 2}}]{comment}\n"
 
     def test_named_allow_suppresses(self):
-        text = self.BUG.format(comment="  # lint: allow[DET-UNSEEDED-RANDOM]")
+        text = self.BUG.format(comment="  # lint: allow[POOL-FORK-UNSAFE]")
         assert analyze_text("m.py", text) == []
 
     def test_star_allow_suppresses_everything(self):
-        text = (
-            "import random, time\n"
-            "x = random.random() + time.time()  # lint: allow[*]\n"
-        )
+        text = self.BOTH.format(comment="  # lint: allow[*]")
         assert analyze_text("m.py", text) == []
 
     def test_multiple_ids_in_one_comment(self):
         # Both rules genuinely fire on the line, so both tokens are
         # used and neither draws LINT-UNUSED-SUPPRESS.
-        text = (
-            "import random, time\n"
-            "x = random.random() + time.time()"
-            "  # lint: allow[DET-UNSEEDED-RANDOM, DET-WALLCLOCK]\n"
+        text = self.BOTH.format(
+            comment="  # lint: allow[POOL-FORK-UNSAFE, DET-SET-ORDER]"
         )
         assert analyze_text("m.py", text) == []
 
     def test_wrong_id_does_not_suppress(self):
         # The finding survives, and the mismatched token is itself
         # reported stale.
-        text = self.BUG.format(comment="  # lint: allow[DET-WALLCLOCK]")
+        text = self.BUG.format(comment="  # lint: allow[DET-SET-ORDER]")
         rules = [f.rule for f in analyze_text("m.py", text)]
-        assert "DET-UNSEEDED-RANDOM" in rules
+        assert "POOL-FORK-UNSAFE" in rules
         assert "LINT-UNUSED-SUPPRESS" in rules
 
     def test_legacy_det_allow_is_inert(self):
         # The retired ``# det: allow`` grammar suppresses nothing.
         text = self.BUG.format(comment="  # det: allow")
         rules = [f.rule for f in analyze_text("m.py", text)]
-        assert rules == ["DET-UNSEEDED-RANDOM"]
+        assert rules == ["POOL-FORK-UNSAFE"]
 
     def test_docstring_mention_neither_fires_nor_suppresses(self):
         text = (
             '"""Docs may say # lint: allow[*] freely."""\n'
-            "import random\n"
-            "x = random.random()\n"
+            "import os\n"
+            "x = os.fork()\n"
         )
         rules = [f.rule for f in analyze_text("m.py", text)]
-        assert rules == ["DET-UNSEEDED-RANDOM"]
+        assert rules == ["POOL-FORK-UNSAFE"]
 
 
 class TestPoolRules:
-    def test_non_spec_dataclass_callable_field_not_flagged(self):
-        # The analyzer's own Rule dataclass holds a check function; only
-        # *Spec/*Job classes promise picklability-by-construction.
-        text = (
-            "from dataclasses import dataclass\n"
-            "from typing import Callable\n"
-            "@dataclass(frozen=True)\n"
-            "class Rule:\n"
-            "    check: Callable\n"
-        )
-        assert analyze_text("m.py", text) == []
-
-    def test_spec_constructor_capturing_lambda_flagged(self):
-        text = (
-            "def build(path):\n"
-            "    return TraceSpec(loader=lambda: path)\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "POOL-LAMBDA-SUBMIT"
-        ]
-
-    def test_spec_constructor_capturing_open_handle_flagged(self):
-        text = (
-            "def build(path):\n"
-            "    return TraceSpec(handle=open(path))\n"
-        )
-        assert [f.rule for f in analyze_text("m.py", text)] == [
-            "POOL-LAMBDA-SUBMIT"
-        ]
-
-    def test_builtin_map_with_lambda_not_flagged(self):
-        text = "def f(xs):\n    return list(map(lambda x: x + 1, xs))\n"
-        assert analyze_text("m.py", text) == []
-
     def test_reading_module_global_not_flagged(self):
         text = (
             "_REGISTRY = {}\n"
@@ -193,8 +156,8 @@ class TestPoolRules:
 
 class TestEngineIntegration:
     def test_config_select_restricts_families(self):
-        bad = "import random\nx = random.random()\n"
-        config = AnalyzerConfig(selected=frozenset({"DET-WALLCLOCK"}))
+        bad = "import os\nx = os.fork()\n"
+        config = AnalyzerConfig(selected=frozenset({"DET-SET-ORDER"}))
         assert analyze_files({"m.py": bad}, config) == []
 
     def test_only_unused_suppress_is_fixable_among_python_rules(self):
@@ -202,7 +165,7 @@ class TestEngineIntegration:
         # python-side rule: LINT-UNUSED-SUPPRESS (stale-token removal).
         # Every other code-rule finding must pass through untouched.
         files = {p.name: p.read_text() for p in BAD_FIXTURES}
-        files["det.py"] = "import random\nx = random.random()\n"
+        files["det.py"] = "for x in {'a', 'b'}:\n    print(x)\n"
         result = fix_files(files)
         changed = {
             name for name in files if result.files[name] != files[name]
@@ -296,7 +259,7 @@ class TestWaiverAudit:
 
 class TestUnusedSuppressFix:
     def test_single_stale_token_comment_line_removed(self):
-        files = {"m.py": "X_S = 1.0  # lint: allow[DET-WALLCLOCK]\n"}
+        files = {"m.py": "X_S = 1.0  # lint: allow[DET-SET-ORDER]\n"}
         result = fix_files(files)
         assert result.files["m.py"] == "X_S = 1.0\n"
         assert [f.rule for f in result.fixed] == ["LINT-UNUSED-SUPPRESS"]
@@ -304,21 +267,21 @@ class TestUnusedSuppressFix:
     def test_stale_token_removed_from_live_list(self):
         files = {
             "m.py": (
-                "import random\n"
-                "x = random.random()"
-                "  # lint: allow[DET-UNSEEDED-RANDOM, DET-WALLCLOCK]\n"
+                "import os\n"
+                "x = os.fork()"
+                "  # lint: allow[POOL-FORK-UNSAFE, DET-SET-ORDER]\n"
             )
         }
         result = fix_files(files)
         assert result.files["m.py"] == (
-            "import random\n"
-            "x = random.random()  # lint: allow[DET-UNSEEDED-RANDOM]\n"
+            "import os\n"
+            "x = os.fork()  # lint: allow[POOL-FORK-UNSAFE]\n"
         )
 
     def test_prose_after_grammar_survives(self):
         files = {
             "m.py": (
-                "X_S = 1.0  # lint: allow[DET-WALLCLOCK]"
+                "X_S = 1.0  # lint: allow[DET-SET-ORDER]"
                 " keeps the ladder honest\n"
             )
         }
@@ -326,7 +289,7 @@ class TestUnusedSuppressFix:
         assert result.files["m.py"] == "X_S = 1.0  # keeps the ladder honest\n"
 
     def test_fix_is_idempotent(self):
-        files = {"m.py": "X_S = 1.0  # lint: allow[DET-WALLCLOCK]\n"}
+        files = {"m.py": "X_S = 1.0  # lint: allow[DET-SET-ORDER]\n"}
         once = fix_files(files)
         twice = fix_files(dict(once.files))
         assert twice.files == once.files
