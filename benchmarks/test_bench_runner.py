@@ -14,8 +14,12 @@ decoder that goes back to per-value work, shows up there as a
 multiple, not a percentage.
 """
 
+import os
+import pickle
+
 import pytest
 
+from repro.framing import scan_line_file
 from repro.net.traces import random_walk
 from repro.replay.recorder import record_path
 from repro.replay.replayer import replay_session
@@ -91,6 +95,13 @@ def test_bench_record_then_replay(benchmark, tmp_path):
     assert not outcome.cached and outcome.result.completed
     assert replayed.intact and replayed.has_verdict
     assert replayed.result.summary() == outcome.result.summary()
+    # The work timed: events recorded, log bytes written, and the size
+    # of the result as the cache pickles it. A timing only compares
+    # with the pin for the same work.
+    assert len(scan_line_file(replayed.path).payloads) == 2278
+    assert os.path.getsize(replayed.path) == 332029
+    pickled = pickle.dumps(outcome.result, protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(pickled) == 60451
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -93,18 +93,16 @@ LINE_MAGIC = b"REV1"
 _LINE_PREFIX_LEN = len(LINE_MAGIC) + 1 + 8 + 1 + 8 + 1
 #: The canonical header of a payload: ``_LINE_HEADER % (length, crc)``.
 _LINE_HEADER = LINE_MAGIC + b" %08x %08x "
+#: A whole framed line: ``LINE_FORMAT % (length, crc, payload)``. Only
+#: for payloads known to hold no newline; :func:`frame_line` checks.
+LINE_FORMAT = _LINE_HEADER + b"%s\n"
 
 
 def frame_line(payload: bytes) -> bytes:
     """One framed log line (terminator included) for a JSON payload."""
     if b"\n" in payload:
         raise ValueError("framed line payload must not contain newlines")
-    return b"%s %08x %08x %s\n" % (
-        LINE_MAGIC,
-        len(payload),
-        zlib.crc32(payload),
-        payload,
-    )
+    return LINE_FORMAT % (len(payload), zlib.crc32(payload), payload)
 
 
 @dataclass

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..errors import ReproError
 
@@ -90,6 +90,35 @@ class EventKind(str, enum.Enum):
     BUFFER_SAMPLE = "buffer_sample"
     ESTIMATE = "estimate"
     VERDICT = "verdict"
+
+
+#: The payload fields of each kind the session kernel and
+#: :class:`~repro.sim.records.ResultFold` emit, space-separated in the
+#: order they put them in the payload; ``decision`` has one field set
+#: per action. ``session_meta``, whose fields nest, has none. The
+#: recorder compiles one line writer per field set.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "decision": ("t medium action track_id", "t medium action until"),
+    "download_start": (
+        "t medium track_id chunk_index size_bits attempt resumed_bits",
+    ),
+    "download_progress": ("t0 t1 medium bits",),
+    "download_complete": (
+        "t medium track_id chunk_index size_bits started_at resumed_bits",
+    ),
+    "download_abort": ("t medium track_id chunk_index bits_done size_bits",),
+    "failure": (
+        "t medium track_id chunk_index bits_done kind attempt resumable retry_at",
+    ),
+    "retry": ("t medium chunk_index attempt at",),
+    "skip": ("t medium track_id chunk_index attempts",),
+    "stall_begin": ("t",),
+    "stall_end": ("t duration_s",),
+    "playback_start": ("t",),
+    "buffer_sample": ("t video_s audio_s",),
+    "estimate": ("t kbps",),
+    "verdict": ("t completed startup_delay_s termination_reason n_stalls",),
+}
 
 
 def _sanitize(value: Any) -> Any:

@@ -16,10 +16,13 @@ addressed the same way as its result cache, and keep a complete log
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+import zlib
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..framing import frame_line, scan_line_file
+from ..framing import LINE_FORMAT, frame_line, scan_line_file
 from .events import (
+    EVENT_FIELDS,
     EventKind,
     ReplayError,
     decode_event,
@@ -29,6 +32,75 @@ from .events import (
 
 _SESSION_META = EventKind.SESSION_META.value
 _VERDICT = EventKind.VERDICT.value
+
+_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _float_json(value: float) -> str:
+    # ``json`` writes a finite float as ``float.__repr__`` gives it.
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: The JSON text of a value, by its exact type, as :func:`encode_event`
+#: writes it. Any other type (an enum, a subclass, a container) is not
+#: here, and its event goes through :func:`encode_event`.
+_SCALAR_JSON: Dict[type, Callable[[Any], str]] = {
+    float: _float_json,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+LineWriter = Callable[[int, Dict[str, Any]], Optional[bytes]]
+
+
+def _literal(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _line_writer(kind: str, fields: Tuple[str, ...]) -> LineWriter:
+    """The framed line of a ``kind`` event whose payload holds exactly
+    ``fields``, in that order, as ``(seq, payload) -> bytes``.
+
+    The keys are sorted into a template once, so writing an event is
+    one scalar rendering per value and one ``format``. The writer
+    returns ``None`` for a value of a type :data:`_SCALAR_JSON` does
+    not render; ``frame_line(encode_event(event))`` writes that event.
+    """
+    slots = {"k": _literal(encode_basestring_ascii(kind)), "seq": "{0}"}
+    for position, field in enumerate(fields, 1):
+        slots[field] = "{%d}" % position
+    template = "{{%s}}" % ",".join(
+        _literal(encode_basestring_ascii(key)) + ":" + slots[key]
+        for key in sorted(slots)
+    )
+    render = template.format
+    scalar_json = _SCALAR_JSON
+    crc32 = zlib.crc32
+
+    def write(seq: int, payload: Dict[str, Any]) -> Optional[bytes]:
+        try:
+            text = render(
+                seq,
+                *[scalar_json[type(v)](v) for v in map(payload.__getitem__, fields)],
+            )
+        except KeyError:
+            return None
+        data = text.encode()
+        return LINE_FORMAT % (len(data), crc32(data), data)
+
+    return write
+
+
+#: One writer per ``(kind, *fields)`` of :data:`EVENT_FIELDS`, compiled
+#: at import; :meth:`EventRecorder.emit` looks up each event's own.
+_LINE_WRITERS: Dict[Tuple[str, ...], LineWriter] = {
+    (kind, *names.split()): _line_writer(kind, tuple(names.split()))
+    for kind, field_sets in EVENT_FIELDS.items()
+    for names in field_sets
+}
 
 
 def record_path(record_dir: str, key: str) -> str:
@@ -89,8 +161,22 @@ class EventRecorder:
     # -- SessionObserver protocol -----------------------------------------
 
     def emit(self, kind: str, payload: Dict[str, Any]) -> None:
-        if self._fd is None:
+        fd = self._fd
+        if fd is None:
             raise ValueError(f"recorder for {self.path} is closed")
+        write = _LINE_WRITERS.get((kind, *payload))
+        line = None if write is None else write(self._seq, payload)
+        if line is None:
+            line = frame_line(encode_event(self._event(kind, payload)))
+        os.write(fd, line)
+        self._seq += 1
+        self.events_written += 1
+        self.bytes_written += len(line)
+
+    def _event(self, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The whole event ``emit`` writes for ``payload``: ``k``,
+        ``seq``, the payload and, in the header, the schema and
+        ``extra_meta``."""
         event: Dict[str, Any] = {"k": kind, "seq": self._seq}
         if kind == _SESSION_META:
             # Stamp the lowest version the header's fields need, so
@@ -98,11 +184,7 @@ class EventRecorder:
             event["schema"] = schema_for_meta({**self._extra_meta, **payload})
             event.update(self._extra_meta)
         event.update(payload)
-        line = frame_line(encode_event(event))
-        os.write(self._fd, line)
-        self._seq += 1
-        self.events_written += 1
-        self.bytes_written += len(line)
+        return event
 
     def close(self) -> None:
         if self._fd is not None:

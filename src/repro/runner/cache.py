@@ -5,7 +5,10 @@ job's sha256 spec hash (:meth:`repro.runner.jobs.SimulationJob.key`).
 Values are pickled :class:`~repro.sim.records.SessionResult` objects,
 so a hit replays the original run *bit-identically* — every float,
 record and timeline survives the round trip, which is what lets a
-cached experiment produce byte-equal report rows.
+cached experiment produce byte-equal report rows. The records inside
+pickle as their class and field values (see
+:mod:`repro.sim.records`); entries written when they pickled through
+the dataclass ``__getstate__`` still load, through ``__setstate__``.
 
 The cache is safe to share between concurrent runs: writes go through
 a per-process temp file and an atomic :func:`os.replace`, and a

@@ -50,13 +50,24 @@ from ..net.traces import BandwidthTrace
 SPEC_SCHEMA_VERSION = 1
 
 
+def _unkeyable(value: object) -> object:
+    raise TypeError(
+        f"spec_key cannot encode {value!r} ({type(value).__name__}): "
+        "a spec holds only JSON values, lists and tuples"
+    )
+
+
 def spec_key(spec: Dict[str, object]) -> str:
     """sha256 over the canonical JSON of a job's ``spec_dict()``.
 
     The one content-addressing rule every job type keys by: sorted
-    keys, no whitespace, tuples encoded as lists.
+    keys, no whitespace, tuples encoded as lists. Any other value (a
+    set, a plain enum) raises ``TypeError`` naming it: a set would be
+    keyed in hash order, which differs from process to process.
     """
-    canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=list)
+    canonical = json.dumps(
+        spec, sort_keys=True, separators=(",", ":"), default=_unkeyable
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -3,14 +3,38 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..media.tracks import MediaType
 
 _AUDIO = MediaType.AUDIO
+_VIDEO = MediaType.VIDEO
 
 
+def _reduce_by_fields(record):
+    """Pickle a record as its class and its field values, in order.
+
+    Loading calls the class with those values, so a record costs one
+    tuple in the pickle and one constructor call to load. The
+    dataclass-made ``__getstate__`` goes through ``fields()`` and a
+    Python loop per record, which dominated pickling a session's
+    ~1,500 records. Entries pickled that way still load: the frozen
+    classes keep their ``__setstate__``.
+    """
+    cls = type(record)
+    return cls, cls._field_values(record)
+
+
+def _pickled_by_fields(cls):
+    """Class decorator: pickle instances through :func:`_reduce_by_fields`."""
+    cls._field_values = attrgetter(*(field.name for field in fields(cls)))
+    cls.__reduce__ = _reduce_by_fields
+    return cls
+
+
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class ProgressSegment:
     """Bits received by one download over one constant-rate interval."""
@@ -24,6 +48,7 @@ class ProgressSegment:
         return self.end_s - self.start_s
 
 
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class DownloadRecord:
     """One completed chunk download.
@@ -56,6 +81,7 @@ class DownloadRecord:
         return self.size_bits / self.duration_s / 1000.0
 
 
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class AbortRecord:
     """An in-flight download the player abandoned."""
@@ -73,6 +99,7 @@ class AbortRecord:
         return self.bits_done / self.size_bits if self.size_bits else 0.0
 
 
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class FailureRecord:
     """One failed request attempt.
@@ -101,6 +128,7 @@ class FailureRecord:
     retry_at: Optional[float] = None
 
 
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class SkipRecord:
     """A live chunk skipped to preserve liveness after attempts ran out."""
@@ -112,6 +140,7 @@ class SkipRecord:
     attempts: int
 
 
+@_pickled_by_fields
 @dataclass(slots=True)
 class StallEvent:
     """One rebuffering interval (shaded regions of the paper's Fig. 3)."""
@@ -126,6 +155,7 @@ class StallEvent:
         return self.end_s - self.start_s
 
 
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class BufferSample:
     """Buffer levels (seconds of content) at one instant."""
@@ -140,6 +170,7 @@ class BufferSample:
         return abs(self.video_level_s - self.audio_level_s)
 
 
+@_pickled_by_fields
 @dataclass(frozen=True, slots=True)
 class EstimateSample:
     """A bandwidth-estimate reading logged by the player."""
@@ -288,17 +319,18 @@ class SessionResult:
         return None
 
     def selected_combinations(self) -> List[Tuple[int, Optional[str], Optional[str]]]:
-        """Per chunk position: (index, video track, audio track)."""
-        out = []
-        for index in range(self.n_chunks):
-            out.append(
-                (
-                    index,
-                    self.track_for(MediaType.VIDEO, index),
-                    self.track_for(MediaType.AUDIO, index),
-                )
-            )
-        return out
+        """Per chunk position: (index, video track, audio track).
+
+        Each track is :meth:`track_for`'s: the first download of that
+        medium and position, found in one pass over the downloads.
+        """
+        first: Dict[Tuple[MediaType, int], str] = {}
+        for record in self.downloads:
+            first.setdefault((record.medium, record.chunk_index), record.track_id)
+        return [
+            (index, first.get((_VIDEO, index)), first.get((_AUDIO, index)))
+            for index in range(self.n_chunks)
+        ]
 
     def combination_names(self) -> List[str]:
         """Paper-style combination names per downloaded position."""

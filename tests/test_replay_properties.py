@@ -24,7 +24,14 @@ from repro.net.resilience import FailureKind, ResilienceModel, RetryPolicy
 from repro.net.traces import constant, random_walk, square_wave
 from repro.qoe.metrics import DEFAULT_WEIGHTS, compute_qoe
 from repro.replay import EventRecorder, replay_session, scan_events
-from repro.replay.events import ReplayError, _sanitize, decode_event, encode_event
+from repro.replay import recorder as recorder_module
+from repro.replay.events import (
+    EVENT_FIELDS,
+    ReplayError,
+    _sanitize,
+    decode_event,
+    encode_event,
+)
 from repro.runner.jobs import PlayerSpec
 from repro.sim.session import Session, SessionConfig
 
@@ -174,6 +181,84 @@ class TestEventCodec:
     def test_two_objects_in_one_payload_are_not_spliced(self, tmp_path):
         with pytest.raises(ReplayError, match="invalid JSON"):
             scan_events(self._log(tmp_path, b'{"k":"a"},{"k":"b"}'))
+
+
+#: Every field set the kernel and ``ResultFold`` emit, as (kind, fields).
+_FIELD_SETS = [
+    (kind, tuple(names.split()))
+    for kind, field_sets in EVENT_FIELDS.items()
+    for names in field_sets
+]
+
+#: Field values for the line writers: the edge floats, ints where
+#: floats go, bools, None, strings that need escaping, and values the
+#: writers leave to ``encode_event`` (an enum, a list).
+_FIELD_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 0.1, 2.5e-7]
+    ),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(["video", "wait", 'q"uote', "back\\slash", "t\nab", "\x7f", "é", "\u2028", "\U0001f600"]),
+    st.sampled_from([MediaType.AUDIO, FailureKind.TIMEOUT, [1.5, math.inf]]),
+)
+
+
+@st.composite
+def _emitted_events(draw):
+    """A (kind, payload) in a declared field set, or one the writers do
+    not know: fields reordered, one missing, or one added."""
+    kind, fields = draw(st.sampled_from(_FIELD_SETS))
+    change = draw(st.sampled_from(["declared", "declared", "reordered", "missing", "added"]))
+    if change == "reordered":
+        fields = tuple(draw(st.permutations(fields)))
+    elif change == "missing":
+        fields = fields[1:]
+    elif change == "added":
+        fields = fields + (draw(st.sampled_from(["extra", "k", "seq", "a{b}"])),)
+    return kind, {field: draw(_FIELD_VALUES) for field in fields}
+
+
+class TestRecorderLineWriters:
+    """The recorder's per-kind line writers write what the reference
+    ``frame_line(encode_event(event))`` writes, byte for byte."""
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(events=st.lists(_emitted_events(), min_size=1, max_size=4))
+    def test_line_equals_reference(self, tmp_path, events):
+        path = str(tmp_path / "writers.events.jsonl")
+        with EventRecorder(path) as recorder:
+            for kind, payload in events:
+                recorder.emit(kind, payload)
+        expected = b"".join(
+            frame_line(encode_event({"k": kind, "seq": seq, **payload}))
+            for seq, (kind, payload) in enumerate(events)
+        )
+        with open(path, "rb") as f:
+            assert f.read() == expected
+
+    def test_declared_field_sets_cover_every_kernel_event(self, tmp_path, monkeypatch):
+        """Only the header goes through ``encode_event``: every other
+        event a session emits (failures and retries included) has a
+        line writer."""
+        encoded = []
+
+        def counting_encode(event):
+            encoded.append(event["k"])
+            return encode_event(event)
+
+        monkeypatch.setattr(recorder_module, "encode_event", counting_encode)
+        _, path = run_recorded(tmp_path, "dashjs", "square", 1, failures=True)
+        kinds = {event["k"] for event in scan_events(path).events}
+        assert {"failure", "retry", "stall_begin", "stall_end"} <= kinds
+        assert encoded == ["session_meta"]
 
 
 def _load_oracle_module():

@@ -29,7 +29,19 @@ from repro.runner import (
     runner_options,
     set_runner_options,
 )
-from repro.runner.jobs import ContentSpec
+from repro.media.tracks import MediaType
+from repro.runner.jobs import ContentSpec, spec_key
+from repro.sim import records
+from repro.sim.records import (
+    AbortRecord,
+    BufferSample,
+    DownloadRecord,
+    EstimateSample,
+    FailureRecord,
+    ProgressSegment,
+    SkipRecord,
+    StallEvent,
+)
 
 
 def small_grid():
@@ -164,6 +176,14 @@ class TestKeyContract:
         assert job.key() == key
         assert SimulationJob.from_spec(job.spec_dict()).key() == key
         assert job.label() == job.label(key)
+
+    def test_non_json_spec_values_raise_naming_the_value(self):
+        # A set would be keyed in hash order, so differently per process.
+        with pytest.raises(TypeError, match=r"frozenset\(\{'A1'\}\)"):
+            spec_key({"audio": frozenset({"A1"})})
+        with pytest.raises(TypeError, match="MediaType.VIDEO"):
+            spec_key({"medium": MediaType.VIDEO})
+        assert spec_key({"ids": ("A1", "A2")}) == spec_key({"ids": ["A1", "A2"]})
 
     def test_serial_record_run_hashes_the_spec_once(self, tmp_path, monkeypatch):
         calls = []
@@ -402,6 +422,36 @@ class TestEngineDeterminism:
         assert not outcome.cached
 
 
+def _record_classes():
+    return {
+        cls
+        for cls in vars(records).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    }
+
+
+_SEGMENT = ProgressSegment(1.0, 1.5, 250_000.0)
+
+#: One or more instances of every record class, defaults included.
+RECORD_SAMPLES = [
+    _SEGMENT,
+    DownloadRecord(MediaType.VIDEO, "V3", 4, 1.2e6, 1.0, 2.5),
+    DownloadRecord(
+        MediaType.AUDIO, "A1", 4, 64_000.0, 1.0, 1.5, (_SEGMENT, _SEGMENT), 0.5
+    ),
+    AbortRecord(MediaType.VIDEO, "V5", 7, 9.25, 3e5, 2.4e6),
+    FailureRecord(MediaType.AUDIO, "A2", 2, 3.0, 0.0),
+    FailureRecord(
+        MediaType.VIDEO, "V2", 9, 12.5, 1e5, "timeout", 2, True, 13.75
+    ),
+    SkipRecord(MediaType.VIDEO, "V1", 11, 40.0, 3),
+    StallEvent(5.0),
+    StallEvent(5.0, 6.125),
+    BufferSample(2.0, 8.5, -0.0),
+    EstimateSample(2.0, float("inf")),
+]
+
+
 class TestResultCache:
     def test_second_run_is_all_hits_and_bit_identical(self, tmp_path):
         jobs = small_grid()
@@ -486,6 +536,42 @@ class TestResultCache:
         assert cache.stats.evictions == 1
         assert cache.stats.truncated == 0
         assert not os.path.exists(path)
+
+    def test_every_record_class_pickles_to_an_equal_record(self):
+        covered = {type(record) for record in RECORD_SAMPLES}
+        assert covered == _record_classes()
+        for record in RECORD_SAMPLES:
+            data = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            clone = pickle.loads(data)
+            assert type(clone) is type(record) and clone == record
+            assert pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL) == data
+
+    def test_entry_pickled_by_dataclass_state_still_loads(self, tmp_path, monkeypatch):
+        """An entry written before records pickled by their fields (the
+        dataclass ``__getstate__`` form) is still a hit, equal to the run."""
+        job = SimulationJob(
+            player=PlayerSpec("dashjs"),
+            trace=TraceSpec.pairs([(20.0, 300.0), (20.0, 3000.0)]),
+            failure=FailureSpec(0.2, seed=1, taxonomy=True),
+            retry_policy=RetryPolicy(),
+        )
+        (outcome,) = run_jobs([job])
+        result = outcome.result
+        assert result.failures and result.stalls and result.downloads
+        cache = ResultCache(str(tmp_path))
+        cache.put("new", result)
+        for cls in _record_classes():
+            monkeypatch.delattr(cls, "__reduce__")
+        cache.put("old", result)
+        monkeypatch.undo()
+        sizes = {key: os.path.getsize(cache._path(key)) for key in ("new", "old")}
+        assert sizes["old"] > sizes["new"]
+        cached = cache.get("old")
+        assert cache.stats.hits == 1 and cache.stats.evictions == 0
+        for name in ("downloads", "failures", "stalls", "buffer_timeline", "estimate_timeline"):
+            assert getattr(cached, name) == getattr(result, name), name
+        assert cached.to_dict() == result.to_dict()
+        assert pickle.dumps(cached) == pickle.dumps(result)
 
     def test_clear_removes_entries(self, tmp_path):
         cache = ResultCache(str(tmp_path))

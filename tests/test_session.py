@@ -304,6 +304,32 @@ class TestResultAccessors:
         ]
         assert result.distinct_combinations() == ["V1+A1"]
 
+    def test_selected_combinations_take_the_first_download_per_position(self):
+        from repro.sim.records import DownloadRecord, SessionResult
+
+        result = SessionResult(8.0, 2.0, 4)
+        for medium, track_id, index in [
+            (V, "V1", 0),
+            (MediaType.AUDIO, "A1", 0),
+            (V, "V2", 1),
+            (V, "V3", 1),
+            (MediaType.AUDIO, "A2", 2),
+        ]:
+            result.downloads.append(
+                DownloadRecord(medium, track_id, index, 1e5, 0.0, 1.0)
+            )
+        expected = [
+            (i, result.track_for(V, i), result.track_for(MediaType.AUDIO, i))
+            for i in range(4)
+        ]
+        assert result.selected_combinations() == expected
+        assert expected == [
+            (0, "V1", "A1"),
+            (1, "V2", None),
+            (2, None, "A2"),
+            (3, None, None),
+        ]
+
     def test_track_usage_and_switches(self):
         content = flat_content()
         result = simulate(content, FixedTracksPlayer("V1", "A1"), shared(constant(1000.0)))
