@@ -1,19 +1,13 @@
-"""Static analysis for streaming manifests and the simulator's source.
+"""Static analysis for streaming manifests.
 
 ``repro.analysis`` lints raw manifest *text* — MPD XML and m3u8
 playlists — with file/line/column source spans: RFC 8216 and DASH-IF
 conformance plus the paper's Section 4.1 best practices (curated
 combination sets, per-track bandwidth). It reads manifests through the
 span-keeping readers of :mod:`repro.manifest` (``hls.scan_playlist``,
-``dash.parse_xml``) that the strict parsers share. For the simulator's
-own Python source it runs the set-order lint (``DET-SET-ORDER``,
-:mod:`repro.analysis.pylint_determinism`) and the fork-safety lint
-(``POOL-*``, :mod:`repro.analysis.code_pool`), one file at a time,
-with one inline suppression grammar (``# lint: allow[RULE-ID]``, see
-:mod:`repro.analysis.code_engine`). These cover hazards the result
-oracles can miss; unseeded randomness, wall-clock reads and
-unpicklable pool jobs change the pinned event logs, report pins or
-the ``spawn`` pool test, so they have no rule.
+``dash.parse_xml``) that the strict parsers share. The simulator's
+own determinism and process independence are held by runtime oracles
+in the test suite, not by a source lint (``docs/static_analysis.md``).
 
 Entry points:
 
@@ -40,12 +34,9 @@ from .findings import Baseline, Finding, Severity, sort_findings, worst_severity
 from .registry import REGISTRY, Category, Kind, Rule
 
 # Importing the rule modules populates REGISTRY (autofix pulls in
-# hls_rules, engine pulls in code_engine; code_pool, dash_rules and
-# pylint_determinism are imported here).
-from . import code_pool as _code_pool  # noqa: F401
+# hls_rules; dash_rules is imported here).
 from . import dash_rules as _dash_rules  # noqa: F401
 from . import hls_rules as _hls_rules  # noqa: F401
-from . import pylint_determinism as _pylint_determinism  # noqa: F401
 
 __all__ = [
     "AnalysisParseFailure",

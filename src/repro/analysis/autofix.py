@@ -16,12 +16,10 @@ rewrites differently.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..manifest.hls import ScannedPlaylist
-from .code_engine import _ALLOW_RE
 from .context import RuleContext
 from .engine import AnalyzedDocument, AnalyzerConfig, prepare, run_rules
 from .findings import Finding, sort_findings
@@ -280,70 +278,7 @@ def fix_bitrate_tag(finding, analyzed, ctx) -> List[TextEdit]:
     return edits
 
 
-_STALE_TOKEN_RE = re.compile(r"suppression (?:blanket )?'([^']*)'")
-
-
-def fix_unused_suppress(finding, analyzed, ctx) -> List[TextEdit]:
-    """Remove one stale allow-token; drops the comment when it empties.
-
-    Each finding names one token; the bracket list is rewritten without
-    it. When the last token goes and nothing but the allow grammar is
-    left in the comment, the whole comment goes too (the whole line, if
-    the comment stood alone). Overlapping same-line edits defer to the
-    next pass via the engine's re-lint loop.
-    """
-    token_match = _STALE_TOKEN_RE.search(finding.message)
-    if token_match is None:
-        return []
-    token = token_match.group(1)
-    doc = analyzed.doc
-    line_text = doc.line_text(finding.line)
-    line_offset = doc.offset_of(finding.line, 1)
-    for match in _ALLOW_RE.finditer(line_text):
-        tokens = [t.strip() for t in match.group(1).split(",") if t.strip()]
-        if token not in tokens:
-            continue
-        remaining = [t for t in tokens if t != token]
-        if remaining:
-            return [
-                TextEdit(
-                    line_offset + match.start(1),
-                    line_offset + match.end(1),
-                    ", ".join(remaining),
-                )
-            ]
-        try:
-            comment_start = line_text.rindex("#", 0, match.start())
-        except ValueError:
-            comment_start = match.start()
-        comment = line_text[comment_start:]
-        rest = comment.replace(line_text[match.start() : match.end()], "")
-        if rest.strip("#;, \t"):
-            # The comment carries prose beyond the allow grammar: strip
-            # just the grammar (plus a dangling separator before it).
-            start = match.start()
-            while start > comment_start + 1 and line_text[start - 1] in "; \t":
-                start -= 1
-            return [
-                TextEdit(line_offset + start, line_offset + match.end(), "")
-            ]
-        if not line_text[:comment_start].strip():
-            # Comment-only line: remove the line entirely.
-            end = line_offset + len(line_text)
-            if doc.text[end : end + 1] == "\n":
-                end += 1
-            return [TextEdit(line_offset, end, "")]
-        start = comment_start
-        while start > 0 and line_text[start - 1] in " \t":
-            start -= 1
-        return [
-            TextEdit(line_offset + start, line_offset + len(line_text), "")
-        ]
-    return []
-
-
 FIXERS: Dict[str, Fixer] = {
-    "LINT-UNUSED-SUPPRESS": fix_unused_suppress,
     "HLS-EXTM3U": fix_extm3u,
     "HLS-VERSION-GATE": fix_version_gate,
     "HLS-TARGETDURATION-PRESENT": fix_targetduration_present,
@@ -370,7 +305,6 @@ _FIX_ORDER = [
     "HLS-BITRATE-TAG",
     "HLS-AVERAGE-BANDWIDTH",
     "HLS-BANDWIDTH-CONSISTENT",
-    "LINT-UNUSED-SUPPRESS",
 ]
 _FIX_PRIORITY = {rule_id: i for i, rule_id in enumerate(_FIX_ORDER)}
 

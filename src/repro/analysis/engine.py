@@ -3,11 +3,11 @@
 The engine is the only piece that knows how to go from raw bytes to
 rule invocations. It
 
-1. classifies each input document (MPD XML, m3u8 master, m3u8 media,
-   Python source) from its name and content,
+1. classifies each input document (MPD XML, m3u8 master, m3u8 media)
+   from its name and content,
 2. parses it with the matching position-preserving reader — the MPD
    tree and playlist scan of :mod:`repro.manifest`, which the strict
-   parsers share, or :mod:`ast` for Python — a document
+   parsers share — a document
    that cannot be parsed *at all* raises :class:`AnalysisParseFailure`,
    which the CLI maps to exit code 2, distinct from rule findings,
 3. runs every registered rule of the matching kind, and
@@ -22,11 +22,10 @@ a deterministically ordered list of findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..manifest.dash import XmlElement, XmlParseFailure, parse_xml
 from ..manifest.hls import ScannedPlaylist, scan_playlist
-from .code_engine import PySource, parse_python
 from .context import RuleContext
 from .findings import Baseline, Finding, sort_findings
 from .registry import REGISTRY, Kind
@@ -70,18 +69,21 @@ class AnalyzedDocument:
     """One classified + parsed input document."""
 
     name: str
-    kind: str  # Kind.DASH / HLS_MASTER / HLS_MEDIA / PYTHON
+    kind: str  # Kind.DASH / HLS_MASTER / HLS_MEDIA
     doc: Document
     playlist: Optional[ScannedPlaylist] = None
     xml_root: Optional[XmlElement] = None
-    python: Optional[PySource] = None
 
 
 def classify_name(name: str, text: str) -> str:
-    """Coarse document classification from filename and content."""
+    """Coarse document classification from filename and content.
+
+    A name without a manifest suffix is sniffed by its first non-blank
+    text: markup is an MPD, an ``#EXT`` tag a playlist (one missing its
+    ``#EXTM3U`` header included). Anything else, Python source among
+    it, is not a manifest.
+    """
     lowered = name.lower()
-    if lowered.endswith(".py"):
-        return Kind.PYTHON
     if lowered.endswith((".mpd", ".xml")):
         return Kind.DASH
     if lowered.endswith((".m3u8", ".m3u")):
@@ -89,10 +91,10 @@ def classify_name(name: str, text: str) -> str:
     stripped = text.lstrip()
     if stripped.startswith("<"):
         return Kind.DASH
-    if stripped.startswith("#EXTM3U") or "#EXT" in text:
+    if stripped.startswith("#EXT"):
         return "hls"
     raise AnalysisParseFailure(
-        name, "cannot classify document: not MPD XML, m3u8, or Python"
+        name, "cannot classify document: not MPD XML or m3u8"
     )
 
 
@@ -106,17 +108,7 @@ def prepare(
     for name, text in files.items():
         doc = Document(name=name, text=text)
         kind = classify_name(name, text)
-        if kind == Kind.PYTHON:
-            try:
-                python = parse_python(doc)
-            except SyntaxError as exc:
-                raise AnalysisParseFailure(
-                    name, f"invalid Python: {exc.msg}", line=exc.lineno or 0
-                ) from exc
-            prepared.append(
-                AnalyzedDocument(name=name, kind=kind, doc=doc, python=python)
-            )
-        elif kind == Kind.DASH:
+        if kind == Kind.DASH:
             try:
                 root = parse_xml(text)
             except XmlParseFailure as exc:
@@ -155,62 +147,6 @@ def _rule_kinds_for(kind: str) -> List[str]:
     return [kind]
 
 
-def _suppress_and_track(
-    python: PySource, produced: List[Finding]
-) -> Tuple[List[Finding], Set[Tuple[int, str]]]:
-    """Apply ``# lint: allow[...]`` comments to one document's findings.
-
-    Returns the findings that survive plus the ``(line, token)`` pairs
-    that actually suppressed something — a named rule ID is preferred
-    over a ``*`` on the same line, so a redundant star next to an
-    exact ID is itself reported stale.
-    """
-    tokens = python.allow_tokens()
-    kept: List[Finding] = []
-    used: Set[Tuple[int, str]] = set()
-    for finding in produced:
-        line_tokens = tokens.get(finding.span.line, ())
-        if finding.rule in line_tokens:
-            used.add((finding.span.line, finding.rule))
-        elif "*" in line_tokens:
-            used.add((finding.span.line, "*"))
-        else:
-            kept.append(finding)
-    return kept, used
-
-
-def _stale_suppress_findings(
-    python: PySource, used: Set[Tuple[int, str]], config: AnalyzerConfig
-) -> List[Finding]:
-    """LINT-UNUSED-SUPPRESS: allow-tokens that suppressed nothing.
-
-    The ``LINT-UNUSED-SUPPRESS`` token itself is exempt (it waives the
-    staleness report on its own line, never draws one), mirroring how
-    flake8 treats ``# noqa`` of its unused-noqa code.
-    """
-    if not config.rule_enabled("LINT-UNUSED-SUPPRESS"):
-        return []
-    entry = REGISTRY.get("LINT-UNUSED-SUPPRESS")
-    findings: List[Finding] = []
-    for line, line_tokens in sorted(python.allow_tokens().items()):
-        if "LINT-UNUSED-SUPPRESS" in line_tokens:
-            continue
-        for token in line_tokens:
-            if (line, token) in used:
-                continue
-            what = "blanket '*'" if token == "*" else f"'{token}'"
-            findings.append(
-                entry.finding(
-                    f"suppression {what} matched no finding on this "
-                    "line; remove the stale token (or the whole "
-                    "comment) — `repro-abr lint --fix` does it",
-                    python.doc.find_in_line(line, token),
-                    line_text=python.doc.line_text(line),
-                )
-            )
-    return findings
-
-
 def run_rules(
     prepared: List[AnalyzedDocument], ctx: RuleContext
 ) -> List[Finding]:
@@ -218,23 +154,6 @@ def run_rules(
     config = ctx.config or DEFAULT_CONFIG
     findings: List[Finding] = []
     for analyzed in prepared:
-        if analyzed.kind == Kind.PYTHON:
-            # Python findings are gathered for the whole document first,
-            # then the unified inline allow-comments are applied
-            # centrally — one grammar for every code rule — while
-            # tracking which tokens matched, so stale allow-comments can
-            # be reported by LINT-UNUSED-SUPPRESS afterwards.
-            produced: List[Finding] = []
-            for entry in REGISTRY.for_kind(Kind.PYTHON):
-                if not config.rule_enabled(entry.rule_id):
-                    continue
-                produced.extend(entry.check(analyzed.python, ctx))
-            kept, used = _suppress_and_track(analyzed.python, produced)
-            findings.extend(kept)
-            findings.extend(
-                _stale_suppress_findings(analyzed.python, used, config)
-            )
-            continue
         for rule_kind in _rule_kinds_for(analyzed.kind):
             for entry in REGISTRY.for_kind(rule_kind):
                 if not config.rule_enabled(entry.rule_id):

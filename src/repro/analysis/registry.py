@@ -6,18 +6,16 @@ Every check the analyzer can perform is a registered :class:`Rule` with
   that CI configs and baselines can rely on across releases,
 * a default :class:`~repro.analysis.findings.Severity`,
 * a category tying it to what it enforces — RFC 8216 conformance,
-  DASH-IF conformance, a paper best practice (Section 4.1), or a
-  simulator determinism invariant,
+  DASH-IF conformance, or a paper best practice (Section 4.1),
 * a ``reference`` naming the RFC clause or paper section, and
 * the document *kind* it applies to, so the engine only runs HLS rules
-  on playlists, DASH rules on MPDs, and determinism rules on Python.
+  on playlists and DASH rules on MPDs.
 
-Rules register themselves via the :func:`rule` decorator; a manifest
-check receives the :class:`~repro.analysis.spans.Document`, the
-reader's view of it (a scanned playlist or an MPD element tree) and a
-:class:`RuleContext`, a code check the parsed module and the context;
-both yield findings. Severity/enablement can be overridden per run through
-:class:`repro.analysis.engine.AnalyzerConfig`.
+Rules register themselves via the :func:`rule` decorator; a check
+receives the :class:`~repro.analysis.spans.Document`, the reader's
+view of it (a scanned playlist or an MPD element tree) and a
+:class:`RuleContext`, and yields findings. Severity/enablement can be
+overridden per run through :class:`repro.analysis.engine.AnalyzerConfig`.
 """
 
 from __future__ import annotations
@@ -35,9 +33,6 @@ class Category:
     RFC8216 = "rfc8216-conformance"
     DASHIF = "dashif-conformance"
     PAPER = "paper-best-practice"
-    DETERMINISM = "simulator-determinism"
-    POOL = "pickle-fork-safety"
-    HYGIENE = "lint-hygiene"
 
 
 class Kind:
@@ -48,7 +43,6 @@ class Kind:
     HLS_MEDIA = "hls-media"
     HLS_PACKAGE = "hls-package"  # master resolved against media playlists
     DASH = "dash"
-    PYTHON = "python"
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,7 @@ class RuleRegistry:
 
 
 #: The process-wide registry. Importing :mod:`repro.analysis` populates
-#: it with the built-in HLS/DASH/determinism rules.
+#: it with the built-in HLS/DASH rules.
 REGISTRY = RuleRegistry()
 
 

@@ -205,7 +205,7 @@ def cmd_manifest(args) -> int:
 
 
 #: File suffixes the lint path-collector picks up from directories.
-_LINTABLE_SUFFIXES = (".m3u8", ".m3u", ".mpd", ".xml", ".py")
+_LINTABLE_SUFFIXES = (".m3u8", ".m3u", ".mpd", ".xml")
 
 
 def _collect_lint_files(paths):
@@ -250,7 +250,7 @@ def _packaged_lint_files(args):
 
 
 def cmd_lint(args) -> int:
-    """Lint manifests (or Python sources) with ``repro.analysis``.
+    """Lint manifests with ``repro.analysis``.
 
     Exit codes: 0 clean or warnings only, 1 at least one ERROR,
     2 a document could not be parsed at all (or bad usage).
@@ -287,6 +287,9 @@ def cmd_lint(args) -> int:
         )
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return 2
+    if not files:
+        print("no manifest files found to lint", file=sys.stderr)
         return 2
 
     if args.fix:
@@ -519,7 +522,6 @@ def cmd_diff_events(args) -> int:
                 rtol=args.rtol,
                 atol=args.atol,
                 context=args.context,
-                canonical=args.canonical,
             )
         except (OSError, ReplayError) as exc:
             print(f"{label}: {exc}", file=sys.stderr)
@@ -791,13 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="events of context to print before a divergence (default 3)",
     )
-    diff_parser.add_argument(
-        "--canonical",
-        action="store_true",
-        help="compare deduplicated canonical forms: collapse coincident "
-        "duplicate buffer samples and ignore seq renumbering, accepting "
-        "logs recorded before the kernel deduped them (default: exact)",
-    )
     diff_parser.set_defaults(func=cmd_diff_events)
 
     man_parser = sub.add_parser("manifest", help="emit manifests for the title")
@@ -814,13 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="static-analyze manifests (RFC 8216 / DASH-IF / Section 4.1) "
-        "and Python sources (set order DET-SET-ORDER, fork safety POOL-*)",
+        help="static-analyze manifests (RFC 8216 / DASH-IF / Section 4.1)",
     )
     lint_parser.add_argument(
         "paths",
         nargs="*",
-        help="manifest or Python files (or directories) to lint; "
+        help="manifest files (or directories) to lint; "
         "omit to lint a generated packaging of the reference title",
     )
     lint_parser.add_argument(

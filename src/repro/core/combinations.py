@@ -128,32 +128,6 @@ class CombinationSet:
                 seen.append(combo.audio)
         return tuple(seen)
 
-    def highest_below(
-        self, budget_kbps: float, key: str = "peak"
-    ) -> Combination:
-        """Highest combination whose aggregate bitrate fits the budget.
-
-        :param key: which aggregate to compare — ``"peak"`` (HLS
-            BANDWIDTH semantics), ``"avg"`` or ``"declared"`` (DASH).
-
-        Falls back to the lowest combination when nothing fits.
-        """
-        getter = _aggregate_getter(key)
-        fitting = [c for c in self._items if getter(c) <= budget_kbps]
-        if not fitting:
-            return self._items[0]
-        return max(fitting, key=getter)
-
-    def closest_to(self, budget_kbps: float, key: str = "peak") -> Combination:
-        """Combination whose aggregate bitrate is closest to the budget.
-
-        This is the simple rate-based rule the paper attributes to Shaka
-        ("selects the combination with the bandwidth requirement closest
-        to the estimated bandwidth").
-        """
-        getter = _aggregate_getter(key)
-        return min(self._items, key=lambda c: (abs(getter(c) - budget_kbps), getter(c)))
-
     def rows(self, include_declared: bool = False) -> List[Tuple]:
         """Table rows (name, avg, peak[, declared]) as in Tables 2/3."""
         if include_declared:
@@ -162,18 +136,6 @@ class CombinationSet:
                 for c in self._items
             ]
         return [(c.name, round(c.avg_kbps), round(c.peak_kbps)) for c in self._items]
-
-
-def _aggregate_getter(key: str):
-    getters = {
-        "peak": lambda c: c.peak_kbps,
-        "avg": lambda c: c.avg_kbps,
-        "declared": lambda c: c.declared_kbps,
-    }
-    try:
-        return getters[key]
-    except KeyError:
-        raise ValueError(f"key must be one of {sorted(getters)}, got {key!r}") from None
 
 
 def all_combinations(content: Content) -> CombinationSet:

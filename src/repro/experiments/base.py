@@ -167,8 +167,8 @@ def register(name: str):
 
     def decorate(fn: Callable[[], ExperimentReport]):
         # Import-time registration runs identically in every process
-        # before any pool exists (hence the waiver below).
-        _REGISTRY[name] = fn  # lint: allow[POOL-GLOBAL-MUTABLE]
+        # before any pool exists.
+        _REGISTRY[name] = fn
         return fn
 
     return decorate

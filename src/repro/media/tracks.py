@@ -206,18 +206,6 @@ class Ladder:
     def by_id(self, track_id: str) -> Track:
         return self.tracks[self.index_of(track_id)]
 
-    def highest_below(self, bitrate_kbps: float) -> Track:
-        """Highest track whose declared bitrate does not exceed the budget.
-
-        Falls back to the lowest rung when nothing fits — a player must
-        always pick *something*.
-        """
-        best = self.tracks[0]
-        for track in self.tracks:
-            if track.declared_kbps <= bitrate_kbps:
-                best = track
-        return best
-
 
 def make_ladder(media_type: MediaType, tracks: Sequence[Track]) -> Ladder:
     """Build a :class:`Ladder`, sorting the tracks by declared bitrate."""

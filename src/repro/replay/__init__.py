@@ -38,7 +38,6 @@ from .events import (
 from .diff import (
     DiffReport,
     Divergence,
-    canonicalize_events,
     diff_event_logs,
     diff_event_streams,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ReplayError",
     "ReplayedSession",
     "decode_event",
-    "canonicalize_events",
     "diff_event_logs",
     "diff_event_streams",
     "encode_event",

@@ -112,35 +112,6 @@ def _compare_values(
     return None
 
 
-def canonicalize_events(
-    events: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Normalize an event stream to its deduplicated canonical form.
-
-    Mirrors the kernel's buffer-sample dedup: a ``buffer_sample`` whose
-    ``(t, video_s, audio_s)`` equals the previously *kept* sample is
-    dropped, regardless of unrelated events in between (the kernel
-    compares against its last emitted sample the same way). ``seq``
-    fields are stripped, since dropping events renumbers everything
-    after them.
-
-    Logs recorded before the kernel learned to dedup coincident
-    samples compare clean against post-dedup recordings in this form;
-    byte-identical logs are unaffected (their canonical forms are
-    equal iff the originals are).
-    """
-    out: List[Dict[str, Any]] = []
-    last_sample: Optional[Tuple[Any, Any, Any]] = None
-    for event in events:
-        if event.get("k") == "buffer_sample":
-            key = (event.get("t"), event.get("video_s"), event.get("audio_s"))
-            if key == last_sample:
-                continue
-            last_sample = key
-        out.append({k: v for k, v in event.items() if k != "seq"})
-    return out
-
-
 def diff_event_streams(
     events_a: Sequence[Dict[str, Any]],
     events_b: Sequence[Dict[str, Any]],
@@ -202,29 +173,18 @@ def diff_event_logs(
     atol: float = 0.0,
     ignore_fields: frozenset = DEFAULT_IGNORE_FIELDS,
     context: int = 3,
-    canonical: bool = False,
 ) -> DiffReport:
     """Diff two recorded logs; torn logs compare over their prefixes.
 
     Damage is reported alongside the divergence so a tear is never
     mistaken for agreement: a truncated log that matches the other
     log's prefix yields a length divergence at the tear.
-
-    ``canonical=True`` compares :func:`canonicalize_events` forms,
-    accepting logs that differ only in coincident duplicate buffer
-    samples (recordings made before the kernel deduplicated them).
-    The default stays exact: determinism is the contract.
     """
     scan_a = scan_events(path_a)
     scan_b = scan_events(path_b)
-    events_a: Sequence[Dict[str, Any]] = scan_a.events
-    events_b: Sequence[Dict[str, Any]] = scan_b.events
-    if canonical:
-        events_a = canonicalize_events(events_a)
-        events_b = canonicalize_events(events_b)
     report = diff_event_streams(
-        events_a,
-        events_b,
+        scan_a.events,
+        scan_b.events,
         rtol=rtol,
         atol=atol,
         ignore_fields=ignore_fields,

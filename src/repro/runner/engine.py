@@ -485,6 +485,11 @@ def _run_pool(
                 stats.pool_rebuilds += 1
                 throttle = 1
                 _log(event="pool-rebuild")
+        if pool is not None:
+            # Every job settled, so the workers are idle: join them, and
+            # leave no live child behind once the grid returns.
+            pool.shutdown(wait=True)
+            pool = None
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
@@ -543,8 +548,8 @@ def set_runner_options(
     changes["chaos"] = chaos
     changes["record_dir"] = record_dir
     # Session-global knobs by design: read in the parent at submit
-    # time, never inside a worker (hence the waiver below).
-    _OPTIONS = replace(_OPTIONS, **changes)  # lint: allow[POOL-GLOBAL-MUTABLE]
+    # time, never inside a worker.
+    _OPTIONS = replace(_OPTIONS, **changes)
     return _OPTIONS
 
 
@@ -571,8 +576,8 @@ def runner_options(
         )
     finally:
         # Restores the parent-side session global on context-manager
-        # exit (hence the waiver below).
-        _OPTIONS = previous  # lint: allow[POOL-GLOBAL-MUTABLE]
+        # exit.
+        _OPTIONS = previous
 
 
 class GridRunner:

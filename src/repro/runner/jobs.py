@@ -108,7 +108,7 @@ class ContentSpec:
         if built is None:
             # Memo: the value is a pure function of the frozen spec, so
             # each worker building its own copy is correct by design.
-            built = _BUILT[self] = self._synthesize()  # lint: allow[POOL-GLOBAL-MUTABLE]
+            built = _BUILT[self] = self._synthesize()
         return built
 
     def _synthesize(self):

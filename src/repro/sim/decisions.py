@@ -55,5 +55,5 @@ def download_for(track_id: str) -> Download:
     if decision is None:
         # Intern cache: the value is a pure function of the key, so
         # each worker rebuilding its own copy is correct by design.
-        decision = _DOWNLOAD_CACHE[track_id] = Download(track_id=track_id)  # lint: allow[POOL-GLOBAL-MUTABLE]
+        decision = _DOWNLOAD_CACHE[track_id] = Download(track_id=track_id)
     return decision

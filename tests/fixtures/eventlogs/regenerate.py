@@ -4,8 +4,8 @@ The logs in this directory were recorded at the pre-kernel-overhaul
 HEAD (PR 6 engine) and are the equivalence oracle for every later
 kernel rewrite: a new engine must replay them byte-identically
 (``repro-abr replay --verify``) and a fresh recording of the same job
-must ``diff-events`` clean against them modulo the documented
-buffer-sample dedup canonicalization (see ``docs/event_log.md``).
+must ``diff-events`` clean and ``cmp`` identical against them (see
+``docs/event_log.md``).
 
 Run from the repo root to re-record against the *current* engine::
 

@@ -366,7 +366,7 @@ class TestGrammar:
             "--seed", "--sessions",
         ],
         "replay": ["--strict", "--verify"],
-        "diff-events": ["--atol", "--canonical", "--context", "--rtol"],
+        "diff-events": ["--atol", "--context", "--rtol"],
         "manifest": ["--combinations", "--format", "--self-lint"],
         "lint": [
             "--baseline", "--bitrate-tags", "--chunk-files", "--curated",

@@ -52,10 +52,22 @@ class TestExitCodes:
     def test_unreadable_path_exits_two(self, tmp_path):
         assert main(["lint", str(tmp_path / "missing.m3u8")]) == 2
 
+    def test_directory_without_manifests_exits_two(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text("import os\n")
+        assert main(["lint", str(tmp_path)]) == 2
+        assert "no manifest files" in capsys.readouterr().err
+
     def test_bad_python_exits_two(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("def broken(:\n")
         assert main(["lint", str(target)]) == 2
+
+    def test_python_source_is_not_a_manifest(self, tmp_path, capsys):
+        # Valid Python that even names an HLS tag is still refused.
+        target = tmp_path / "mod.py"
+        target.write_text('import os\nTAG = "#EXT-X-ENDLIST"\npid = os.fork()\n')
+        assert main(["lint", str(target)]) == 2
+        assert "not MPD XML or m3u8" in capsys.readouterr().err
 
 
 class TestFormats:
@@ -77,12 +89,12 @@ class TestFormats:
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["results"]
 
-    def test_directory_recursion_includes_python(self, tmp_path, capsys):
+    def test_directory_recursion_skips_python(self, tmp_path, capsys):
         (tmp_path / "V1.m3u8").write_text(CLEAN_MEDIA)
-        (tmp_path / "mod.py").write_text("import os\npid = os.fork()\n")
-        # The code rules are warnings: the finding shows, exit stays 0.
+        (tmp_path / "mod.py").write_text("def broken(:\n")
+        # Only manifests are collected: the unparsable module is skipped.
         assert main(["lint", str(tmp_path)]) == 0
-        assert "POOL-FORK-UNSAFE" in capsys.readouterr().out
+        assert "clean" in capsys.readouterr().out
 
 
 class TestFix:

@@ -110,30 +110,6 @@ class TestCombinationSet:
         assert rows[0] == ("V1+A1", 239, 253, 239)
 
 
-class TestSelectionHelpers:
-    def test_highest_below_peak(self, hall_combos):
-        # Fig. 4(a): at a 500 kbps estimate, V2+A2 (460) is the pick.
-        assert hall_combos.highest_below(500).name == "V2+A2"
-
-    def test_highest_below_falls_back_to_lowest(self, hall_combos):
-        assert hall_combos.highest_below(10).name == "V1+A1"
-
-    def test_highest_below_avg_key(self, hall_combos):
-        assert hall_combos.highest_below(500, key="avg").name == "V1+A3"
-
-    def test_highest_below_declared_key(self, hall_combos):
-        chosen = hall_combos.highest_below(700, key="declared")
-        assert chosen.declared_kbps <= 700
-
-    def test_closest_to(self, hall_combos):
-        # 500 is closer to 510 (V1+A3) than to 460 (V2+A2).
-        assert hall_combos.closest_to(500).name == "V1+A3"
-
-    def test_bad_key_rejected(self, hall_combos):
-        with pytest.raises(ValueError):
-            hall_combos.highest_below(500, key="median")
-
-
 class TestPairing:
     def test_proportional_unbiased(self, content):
         pairs = proportional_pairing(content.video, content.audio)
@@ -208,20 +184,3 @@ class TestCombinationProperties:
         assert len(combos) == len(video) * len(audio)
         peaks = [c.peak_kbps for c in combos]
         assert peaks == sorted(peaks)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        video=_ladder_bitrates(),
-        audio=_ladder_bitrates(),
-        budget=st.floats(min_value=10, max_value=20000),
-    )
-    def test_highest_below_respects_budget_or_is_lowest(self, video, audio, budget):
-        synthetic = synthetic_content("p", video, audio, n_chunks=2)
-        combos = all_combinations(synthetic)
-        chosen = combos.highest_below(budget)
-        if chosen is not combos.lowest:
-            assert chosen.peak_kbps <= budget
-        better = [
-            c for c in combos if c.peak_kbps <= budget and c.peak_kbps > chosen.peak_kbps
-        ]
-        assert not better

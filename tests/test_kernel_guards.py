@@ -6,26 +6,24 @@ edges — but a run of zero-dt events with *bit-identical* kernel state
 means the schedule is wedged (classically: a network model whose
 ``next_change_after`` is not strictly in the future) and must raise
 ``SimulationError`` with diagnostics instead of spinning to the event
-cap. These tests pin both sides of that threshold, plus the coincident
-buffer-sample dedup and its diff-side canonicalization bridge.
+cap. A schedule that does advance, only by too little to ever finish,
+runs into that cap instead. These tests pin both guards, the coincident
+buffer-sample dedup, and that ``diff-events`` flags a duplicated sample.
 """
 
 import math
 
 import pytest
 
+from repro.cli import main
 from repro.errors import SimulationError
 from repro.media.content import drama_show
 from repro.media.tracks import MediaType
 from repro.net.link import NetworkModel, SeparatePaths, shared
 from repro.net.traces import square_wave
 from repro.players.fixed import FixedTracksPlayer
-from repro.replay import (
-    EventRecorder,
-    canonicalize_events,
-    diff_event_logs,
-    scan_events,
-)
+from repro.replay import EventRecorder, diff_event_logs, scan_events
+from repro.sim.constants import EPS
 from repro.sim.session import Session, SessionConfig, simulate
 
 CONTENT = drama_show()
@@ -63,6 +61,47 @@ class _CoincidentBurstNetwork(NetworkModel):
         n = self._calls.get(t, 0) + 1
         self._calls[t] = n
         return t if n <= self.burst else math.inf
+
+
+class _CreepingNetwork(NetworkModel):
+    """A constant link whose every "rate change" lies just ahead.
+
+    Each step is longer than the kernel tolerance, so no two events see
+    the same clock and the stuck-clock guard never trips; the session
+    crawls forward one tiny event at a time until the event cap stops
+    it.
+    """
+
+    STEP_S = 10 * EPS
+
+    def __init__(self, kbps: float):
+        self.kbps = kbps
+        self.rtt_s = 0.0
+
+    def media_step(self, video_active, audio_active, t):
+        share = self.kbps / (video_active + audio_active)
+        return (
+            share if video_active else 0.0,
+            share if audio_active else 0.0,
+            self.next_change_after(t),
+        )
+
+    def next_change_after(self, t: float) -> float:
+        return t + self.STEP_S
+
+
+class TestEventCap:
+    def test_creeping_schedule_raises_at_the_event_cap(self):
+        config = SessionConfig(max_events=2_000)
+        session = Session(
+            CONTENT, _fixed_player(), _CreepingNetwork(4000.0), config
+        )
+        with pytest.raises(SimulationError) as err:
+            session.run()
+        message = str(err.value)
+        assert "event cap (2000) exceeded" in message
+        assert "stuck" not in message  # the cap, not the stuck-clock guard
+        assert session.now < 1.0  # it crawled: no chunk could finish
 
 
 class TestStuckClockGuard:
@@ -143,71 +182,30 @@ class TestBufferSampleDedup:
         assert recorded == live
 
 
-class TestCanonicalDiff:
-    def _events_with_duplicate(self):
-        return [
-            {"k": "session_meta", "seq": 0, "label": "x"},
-            {"k": "buffer_sample", "seq": 1, "t": 0.0, "video_s": 0.0, "audio_s": 0.0},
-            {"k": "decision", "seq": 2, "t": 0.0, "medium": "video", "action": "wait", "until": "inf"},
-            # The pre-dedup kernel re-sampled the identical instant:
-            {"k": "buffer_sample", "seq": 3, "t": 0.0, "video_s": 0.0, "audio_s": 0.0},
-            {"k": "verdict", "seq": 4, "t": 1.0, "completed": True},
-        ]
-
-    def test_canonicalize_drops_duplicate_and_seq(self):
-        canon = canonicalize_events(self._events_with_duplicate())
-        kinds = [e["k"] for e in canon]
-        assert kinds == ["session_meta", "buffer_sample", "decision", "verdict"]
-        assert all("seq" not in e for e in canon)
-
-    def test_canonicalize_keeps_changed_samples(self):
-        events = self._events_with_duplicate()
-        events[3] = {
-            "k": "buffer_sample", "seq": 3,
-            "t": 0.0, "video_s": 4.0, "audio_s": 0.0,
-        }
-        canon = canonicalize_events(events)
-        assert [e["k"] for e in canon].count("buffer_sample") == 2
-
-    def test_byte_identical_logs_have_equal_canonical_forms(self, tmp_path):
-        network = shared(square_wave(1200.0, 2600.0, half_period_s=4.0))
-        paths = []
-        for name in ("a", "b"):
-            path = str(tmp_path / f"{name}.events.jsonl")
-            config = SessionConfig(observer=EventRecorder(path))
-            Session(CONTENT, _fixed_player(), network, config).run()
-            paths.append(path)
-        exact = diff_event_logs(paths[0], paths[1])
-        canonical = diff_event_logs(paths[0], paths[1], canonical=True)
-        assert exact.identical and canonical.identical
-
-    def test_pre_dedup_log_diffs_clean_only_in_canonical_mode(self, tmp_path):
+class TestDuplicateSampleDiff:
+    def test_plain_diff_flags_a_duplicate_sample(self, tmp_path, capsys):
         network = shared(square_wave(1200.0, 2600.0, half_period_s=4.0))
         path = str(tmp_path / "new.events.jsonl")
         config = SessionConfig(observer=EventRecorder(path))
         Session(CONTENT, _fixed_player(), network, config).run()
-        # Forge a pre-dedup recording: duplicate one buffer sample and
-        # renumber, as the old kernel would have written it.
-        events = scan_events(path).events
-        old_style = []
-        duplicated = False
-        for event in events:
-            old_style.append(dict(event))
-            if not duplicated and event["k"] == "buffer_sample":
-                old_style.append(dict(event))
-                duplicated = True
-        assert duplicated
-        for seq, event in enumerate(old_style):
-            event["seq"] = seq
-        legacy = str(tmp_path / "legacy.events.jsonl")
-        recorder = EventRecorder(legacy)
-        for event in old_style:
+        # Forge a log that repeats one buffer sample, renumbered as the
+        # kernel writes seq: the kernel never emits such a pair.
+        forged = []
+        for event in scan_events(path).events:
+            forged.append(dict(event))
+            if len(forged) == 2 and event["k"] == "buffer_sample":
+                forged.append(dict(event))
+        assert [e["k"] for e in forged[1:3]] == ["buffer_sample"] * 2
+        duplicate = str(tmp_path / "duplicate.events.jsonl")
+        recorder = EventRecorder(duplicate)
+        for event in forged:
             payload = {
                 k: v for k, v in event.items() if k not in ("k", "seq")
             }
             recorder.emit(event["k"], payload)
         recorder.close()
-        exact = diff_event_logs(path, legacy)
-        assert not exact.identical
-        canonical = diff_event_logs(path, legacy, canonical=True)
-        assert canonical.identical, canonical.divergence
+        report = diff_event_logs(path, duplicate)
+        assert not report.identical
+        assert report.divergence.index == 2
+        assert main(["diff-events", path, duplicate]) == 1
+        assert "first divergence at event 2" in capsys.readouterr().out

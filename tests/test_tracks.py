@@ -102,14 +102,6 @@ class TestLadder:
     def test_by_id(self):
         assert self._video_ladder().by_id("V1").avg_kbps == 111
 
-    def test_highest_below_budget(self):
-        ladder = self._video_ladder()
-        assert ladder.highest_below(250).track_id == "V2"
-        assert ladder.highest_below(200).track_id == "V1"
-
-    def test_highest_below_falls_back_to_lowest(self):
-        assert self._video_ladder().highest_below(1).track_id == "V1"
-
     def test_empty_rejected(self):
         with pytest.raises(MediaError):
             Ladder(media_type=MediaType.VIDEO, tracks=())
