@@ -25,7 +25,7 @@ from repro.net.link import SeparatePaths, shared
 from repro.net.resilience import ResilienceModel, RetryPolicy
 from repro.net.traces import random_walk
 from repro.players.fixed import FixedTracksPlayer
-from repro.runner.jobs import PlayerSpec
+from repro.runner.jobs import PlayerSpec, TraceSpec
 from repro.sim.session import Session, SessionConfig, simulate
 
 CONTENT = drama_show()
@@ -150,3 +150,14 @@ def test_bench_trace_lookup(benchmark):
 
     acc = benchmark(run)
     assert acc > 0.0
+
+
+def test_bench_trace_build(benchmark):
+    """Build a 1200-pair ``TraceSpec.pairs`` trace — the per-job cost of
+    every measured-shape session. The trace fills two float columns;
+    a return to one validated object per segment is ~6x slower."""
+    rates = random_walk(1500.0, seed=3, **_FINE).to_pairs()
+    spec = TraceSpec.pairs(rates)
+
+    trace = benchmark(spec.build)
+    assert trace.to_pairs() == list(spec.args)

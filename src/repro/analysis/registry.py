@@ -103,9 +103,6 @@ class RuleRegistry:
     def for_kind(self, kind: str) -> List[Rule]:
         return [r for r in self._rules.values() if r.kind == kind]
 
-    def by_category(self, category: str) -> List[Rule]:
-        return [r for r in self._rules.values() if r.category == category]
-
 
 #: The process-wide registry. Importing :mod:`repro.analysis` populates
 #: it with the built-in HLS/DASH rules.

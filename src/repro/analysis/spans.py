@@ -3,7 +3,7 @@
 The analyzer lints raw manifest *text*, so every finding must be able
 to point at the exact file, line and column it came from — the way a
 compiler or a real linter does. :class:`Document` wraps one text file
-and provides offset <-> (line, column) conversion; :class:`SourceSpan`
+and converts (line, column) positions to offsets; :class:`SourceSpan`
 is the half-open region a finding or a text edit covers.
 
 Lines and columns are 1-based (editor convention, and what SARIF's
@@ -13,9 +13,8 @@ the document text.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,9 @@ class Document:
         )
         return self.text[start:end]
 
-    def lines(self) -> List[str]:
-        return [self.line_text(i) for i in range(1, self.n_lines + 1)]
-
     def offset_of(self, line: int, col: int = 1) -> int:
         """Character offset of 1-based (line, col)."""
         return self._line_starts[line - 1] + (col - 1)
-
-    def position_of(self, offset: int) -> Tuple[int, int]:
-        """1-based (line, col) of a character offset."""
-        if offset < 0 or offset > len(self.text):
-            raise IndexError(f"offset {offset} out of range 0..{len(self.text)}")
-        line = bisect.bisect_right(self._line_starts, offset)
-        return line, offset - self._line_starts[line - 1] + 1
 
     def span_of_line(self, line: int, col: int = 1) -> SourceSpan:
         """A span covering 1-based ``line`` from ``col`` to its end."""

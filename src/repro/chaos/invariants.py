@@ -62,13 +62,12 @@ def check_session(result: SessionResult) -> List[InvariantViolation]:
             )
         )
 
-    for sample in result.buffer_timeline:
-        if sample.video_level_s < -_NEG_EPS or sample.audio_level_s < -_NEG_EPS:
+    for t, video_s, audio_s in zip(result.buffer_t, result.buffer_v, result.buffer_a):
+        if video_s < -_NEG_EPS or audio_s < -_NEG_EPS:
             violations.append(
                 InvariantViolation(
                     "non-negative-buffers",
-                    f"t={sample.t:.3f}: video={sample.video_level_s:.6f}s "
-                    f"audio={sample.audio_level_s:.6f}s",
+                    f"t={t:.3f}: video={video_s:.6f}s audio={audio_s:.6f}s",
                 )
             )
             break  # one witness is enough; don't flood the report

@@ -62,12 +62,8 @@ def run_fig3() -> ExperimentReport:
     report.check(
         "selections disobey the H_sub subset", bool(outside), detail=str(outside)
     )
-    report.series["video_buffer_s"] = [
-        (s.t, s.video_level_s) for s in result.buffer_timeline
-    ]
-    report.series["audio_buffer_s"] = [
-        (s.t, s.audio_level_s) for s in result.buffer_timeline
-    ]
+    report.series["video_buffer_s"] = list(zip(result.buffer_t, result.buffer_v))
+    report.series["audio_buffer_s"] = list(zip(result.buffer_t, result.buffer_a))
     report.timelines["stalls"] = [
         (stall.start_s, f"stall {stall.duration_s:.1f}s") for stall in result.stalls
     ]

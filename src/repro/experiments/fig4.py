@@ -117,7 +117,5 @@ def run_fig4b() -> ExperimentReport:
         detail=f"{result.total_rebuffer_s:.1f} s over {result.n_stalls} stalls",
     )
     report.series["estimate_kbps"] = [(e.t, e.kbps) for e in estimates]
-    report.series["video_buffer_s"] = [
-        (s.t, s.video_level_s) for s in result.buffer_timeline
-    ]
+    report.series["video_buffer_s"] = list(zip(result.buffer_t, result.buffer_v))
     return report

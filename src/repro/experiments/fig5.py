@@ -71,12 +71,8 @@ def run_fig5() -> ExperimentReport:
         result.switch_count(MediaType.VIDEO) >= 5,
         detail=f"{result.switch_count(MediaType.VIDEO)} video switches",
     )
-    report.series["video_buffer_s"] = [
-        (s.t, s.video_level_s) for s in result.buffer_timeline
-    ]
-    report.series["audio_buffer_s"] = [
-        (s.t, s.audio_level_s) for s in result.buffer_timeline
-    ]
+    report.series["video_buffer_s"] = list(zip(result.buffer_t, result.buffer_v))
+    report.series["audio_buffer_s"] = list(zip(result.buffer_t, result.buffer_a))
     report.timelines["video"] = [
         (r.completed_at, r.track_id) for r in result.downloads_of(MediaType.VIDEO)
     ]

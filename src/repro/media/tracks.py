@@ -75,6 +75,13 @@ class Track:
                 f"got {self.declared_kbps}"
             )
 
+    def __hash__(self) -> int:
+        # Only fields that hash alike in every process: before Python
+        # 3.12 ``hash(None)`` follows the object's address, so hashing
+        # the ``Optional`` fields would order a set of tracks (or of
+        # combinations) differently from process to process.
+        return hash((self.track_id, self.media_type))
+
     @property
     def is_audio(self) -> bool:
         return self.media_type is MediaType.AUDIO

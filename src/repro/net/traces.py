@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
 from ..errors import TraceError
@@ -23,7 +24,11 @@ from ..errors import TraceError
 
 @dataclass(frozen=True)
 class TraceSegment:
-    """One constant-bandwidth interval."""
+    """One constant-bandwidth interval.
+
+    A trace stores its intervals as two float columns, not as these
+    objects; :attr:`BandwidthTrace.segments` builds them on demand.
+    """
 
     duration_s: float
     kbps: float
@@ -37,14 +42,15 @@ class TraceSegment:
 
 class _RateQueries:
     """The rate queries a trace and each of its cursors answer, written
-    once over ``_locate(t) -> (segment index, offset)``."""
+    once over ``_locate(t) -> (segment index, offset)`` and the
+    ``_durations`` and ``_kbps`` columns."""
 
     __slots__ = ()
 
     def bandwidth_at(self, t: float) -> float:
         """Link bandwidth in kbps at absolute time ``t``."""
         index, _ = self._locate(t)
-        return self._segments[index].kbps
+        return self._kbps[index]
 
     def next_change_after(self, t: float) -> float:
         """Absolute time of the next rate change strictly after ``t``.
@@ -59,7 +65,7 @@ class _RateQueries:
         if not self._loop and t >= self._period:
             return math.inf
         index, offset = self._locate(t)
-        boundary = t + (self._segments[index].duration_s - offset)
+        boundary = t + (self._durations[index] - offset)
         if boundary <= t:
             # t sits within a few ulps of the segment end (fmod rounding
             # placed it in the expiring segment). The rate flips at the
@@ -77,13 +83,13 @@ class _RateQueries:
         Bit-identical to calling the two methods separately.
         """
         index, offset = self._locate(t)
-        kbps = self._segments[index].kbps
+        kbps = self._kbps[index]
         if self._loop:
             if self._n == 1:
                 return kbps, math.inf
         elif t >= self._period:
             return kbps, math.inf
-        boundary = t + (self._segments[index].duration_s - offset)
+        boundary = t + (self._durations[index] - offset)
         if boundary <= t:
             boundary = math.nextafter(t, math.inf)
         return kbps, boundary
@@ -104,25 +110,42 @@ class BandwidthTrace(_RateQueries):
     """
 
     def __init__(self, segments: Iterable[TraceSegment], loop: bool = True):
-        self._segments: Tuple[TraceSegment, ...] = tuple(segments)
-        if not self._segments:
+        segments = tuple(segments)
+        self._fill(
+            [s.duration_s for s in segments], [s.kbps for s in segments], loop
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, durations: List[float], kbps: List[float], loop: bool
+    ) -> "BandwidthTrace":
+        """A trace over already-validated columns (see :func:`from_pairs`)."""
+        trace = cls.__new__(cls)
+        trace._fill(durations, kbps, loop)
+        return trace
+
+    def _fill(self, durations: List[float], kbps: List[float], loop: bool) -> None:
+        if not durations:
             raise TraceError("trace must contain at least one segment")
+        # Segment i lasts durations[i] seconds at kbps[i].
+        self._durations = durations
+        self._kbps = kbps
         self._loop = loop
-        self._period = sum(s.duration_s for s in self._segments)
+        # sum(durations), not starts[-1] + durations[-1]: Python 3.12's
+        # sum is compensated and 3.11's is not, so only this keeps the
+        # period each version has always computed.
+        self._period = sum(durations)
         # Cumulative start offsets of each segment within one period.
-        self._starts: List[float] = []
-        offset = 0.0
-        for segment in self._segments:
-            self._starts.append(offset)
-            offset += segment.duration_s
+        self._starts: List[float] = list(accumulate(durations[:-1], initial=0.0))
         # Segment i holds from edges[i] = starts[i] - 1e-12 on: the
         # historical lookup predicate, evaluated once per segment.
         self._edges: List[float] = [start - 1e-12 for start in self._starts]
-        self._n = len(self._segments)
+        self._n = len(durations)
 
     @property
     def segments(self) -> Tuple[TraceSegment, ...]:
-        return self._segments
+        """The intervals as :class:`TraceSegment` records, built per call."""
+        return tuple(map(TraceSegment, self._durations, self._kbps))
 
     @property
     def loops(self) -> bool:
@@ -161,7 +184,7 @@ class BandwidthTrace(_RateQueries):
     def average_kbps(self, duration_s: float = 0.0) -> float:
         """Time-average bandwidth over ``duration_s`` (one period if 0)."""
         if duration_s <= 0:
-            total_bits = sum(s.duration_s * s.kbps for s in self._segments)
+            total_bits = sum(d * k for d, k in zip(self._durations, self._kbps))
             return total_bits / self._period
         cursor = self.cursor()
         t = 0.0
@@ -174,22 +197,21 @@ class BandwidthTrace(_RateQueries):
         return acc / duration_s
 
     def min_kbps(self) -> float:
-        return min(s.kbps for s in self._segments)
+        return min(self._kbps)
 
     def max_kbps(self) -> float:
-        return max(s.kbps for s in self._segments)
+        return max(self._kbps)
 
     def scaled(self, factor: float) -> "BandwidthTrace":
         """A copy with every rate multiplied by ``factor``."""
         if factor <= 0:
             raise TraceError(f"scale factor must be positive, got {factor}")
-        return BandwidthTrace(
-            (TraceSegment(s.duration_s, s.kbps * factor) for s in self._segments),
-            loop=self._loop,
+        return BandwidthTrace._from_columns(
+            self._durations, [k * factor for k in self._kbps], self._loop
         )
 
     def to_pairs(self) -> List[Tuple[float, float]]:
-        return [(s.duration_s, s.kbps) for s in self._segments]
+        return list(zip(self._durations, self._kbps))
 
 
 class TraceCursor(_RateQueries):
@@ -208,14 +230,15 @@ class TraceCursor(_RateQueries):
     t >= starts[i] - 1e-12", with the same arithmetic.
     """
 
-    __slots__ = ("_trace", "_segments", "_starts", "_edges", "_n", "_loop",
-                 "_period", "_cursor")
+    __slots__ = ("_trace", "_durations", "_kbps", "_starts", "_edges", "_n",
+                 "_loop", "_period", "_cursor")
 
     def __init__(self, trace: BandwidthTrace) -> None:
         self._trace = trace
         # Immutable views, re-referenced to keep the hot path free of
         # attribute chains through the trace.
-        self._segments = trace._segments
+        self._durations = trace._durations
+        self._kbps = trace._kbps
         self._starts = trace._starts
         self._edges = trace._edges
         self._n = trace._n
@@ -261,16 +284,28 @@ class TraceCursor(_RateQueries):
 
 def constant(kbps: float) -> BandwidthTrace:
     """A fixed-bandwidth link — the paper's preferred controlled setting."""
-    return BandwidthTrace([TraceSegment(duration_s=1.0, kbps=kbps)])
+    return from_pairs([(1.0, kbps)])
 
 
 def from_pairs(
     pairs: Sequence[Tuple[float, float]], loop: bool = True
 ) -> BandwidthTrace:
-    """Build a trace from ``(duration_s, kbps)`` pairs."""
-    return BandwidthTrace(
-        (TraceSegment(duration_s=d, kbps=k) for d, k in pairs), loop=loop
-    )
+    """Build a trace from ``(duration_s, kbps)`` pairs.
+
+    The pairs fill the trace's columns directly. A bad row raises the
+    :class:`TraceError` a :class:`TraceSegment` of it would, at the
+    first bad row; a NaN passes, as it does there.
+    """
+    durations: List[float] = []
+    rates: List[float] = []
+    for duration, kbps in pairs:
+        if duration <= 0:
+            raise TraceError(f"segment duration must be positive, got {duration}")
+        if kbps < 0:
+            raise TraceError(f"segment bandwidth must be non-negative, got {kbps}")
+        durations.append(duration)
+        rates.append(kbps)
+    return BandwidthTrace._from_columns(durations, rates, loop)
 
 
 def square_wave(
@@ -344,8 +379,8 @@ def save_trace(trace: BandwidthTrace, path: str) -> None:
     """Write a trace as ``duration_s,kbps`` CSV lines."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("# duration_s,kbps\n")
-        for segment in trace.segments:
-            f.write(f"{segment.duration_s:.6f},{segment.kbps:.6f}\n")
+        for duration, kbps in trace.to_pairs():
+            f.write(f"{duration:.6f},{kbps:.6f}\n")
 
 
 def load_trace(path: str, loop: bool = True) -> BandwidthTrace:

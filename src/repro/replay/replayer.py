@@ -279,5 +279,4 @@ def _replay_scan(path: str, scan: EventScan) -> ReplayedSession:
         # Torn before the end: the prefix is still a valid partial
         # result. Close the clock at the last event seen.
         fold.result.ended_at_s = last_t
-    fold.seal()
     return replayed

@@ -185,6 +185,12 @@ class SessionResult:
     The accessors mirror what the paper plots: selected tracks over time
     (Figs. 2/3a/4/5a), buffer levels over time (Figs. 3b/5b), bandwidth
     estimates (Fig. 4), stalls and rebuffering totals.
+
+    The buffer timeline, a sample per kernel event, is kept as three
+    float columns: :attr:`buffer_t` (time), :attr:`buffer_v` and
+    :attr:`buffer_a` (video and audio levels, seconds of content).
+    :attr:`buffer_timeline` builds :class:`BufferSample` records from
+    them on demand.
     """
 
     def __init__(
@@ -201,7 +207,9 @@ class SessionResult:
         self.failures: List[FailureRecord] = []
         self.skips: List[SkipRecord] = []
         self.stalls: List[StallEvent] = []
-        self.buffer_timeline: List[BufferSample] = []
+        self.buffer_t: List[float] = []
+        self.buffer_v: List[float] = []
+        self.buffer_a: List[float] = []
         self.estimate_timeline: List[EstimateSample] = []
         self.startup_delay_s: Optional[float] = None
         self.ended_at_s: Optional[float] = None
@@ -209,6 +217,22 @@ class SessionResult:
         #: Why the session ended early under degradation (retry budget
         #: exhausted, attempts exhausted); ``None`` for a normal end.
         self.termination_reason: Optional[str] = None
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # A result pickled before the buffer columns holds a list of
+        # BufferSample records in their place; fields keep their order.
+        for name, value in state.items():
+            if name == "buffer_timeline":
+                self.buffer_t = [sample.t for sample in value]
+                self.buffer_v = [sample.video_level_s for sample in value]
+                self.buffer_a = [sample.audio_level_s for sample in value]
+            else:
+                setattr(self, name, value)
+
+    @property
+    def buffer_timeline(self) -> List[BufferSample]:
+        """The buffer columns as :class:`BufferSample` records, built per call."""
+        return list(map(BufferSample, self.buffer_t, self.buffer_v, self.buffer_a))
 
     @property
     def wasted_bits(self) -> float:
@@ -366,22 +390,27 @@ class SessionResult:
 
     # -- buffers ---------------------------------------------------------
 
+    def _imbalances_s(self) -> List[float]:
+        """|video - audio| buffer level per sample (Fig. 5(b))."""
+        return [abs(v - a) for v, a in zip(self.buffer_v, self.buffer_a)]
+
     def max_buffer_imbalance_s(self) -> float:
-        if not self.buffer_timeline:
+        if not self.buffer_t:
             return 0.0
-        return max(s.imbalance_s for s in self.buffer_timeline)
+        return max(self._imbalances_s())
 
     def mean_buffer_imbalance_s(self) -> float:
         """Time-weighted mean |audio - video| buffer difference."""
-        timeline = self.buffer_timeline
-        if len(timeline) < 2:
+        times = self.buffer_t
+        if len(times) < 2:
             return 0.0
+        imbalances = self._imbalances_s()
         total = 0.0
-        span = timeline[-1].t - timeline[0].t
+        span = times[-1] - times[0]
         if span <= 0:
-            return timeline[-1].imbalance_s
-        for a, b in zip(timeline, timeline[1:]):
-            total += a.imbalance_s * (b.t - a.t)
+            return imbalances[-1]
+        for imbalance, t0, t1 in zip(imbalances, times, times[1:]):
+            total += imbalance * (t1 - t0)
         return total / span
 
     # -- summary ---------------------------------------------------------
@@ -462,12 +491,10 @@ class SessionResult:
         }
         if include_timelines:
             data["buffer_timeline"] = [
-                {
-                    "t": sample.t,
-                    "video_level_s": sample.video_level_s,
-                    "audio_level_s": sample.audio_level_s,
-                }
-                for sample in self.buffer_timeline
+                {"t": t, "video_level_s": video_s, "audio_level_s": audio_s}
+                for t, video_s, audio_s in zip(
+                    self.buffer_t, self.buffer_v, self.buffer_a
+                )
             ]
             data["estimate_timeline"] = [
                 {"t": sample.t, "kbps": sample.kbps}
@@ -508,11 +535,15 @@ class ResultFold:
 
     Unobserved, the kernel appends the two hottest kinds itself: a
     :class:`ProgressSegment` to the list :meth:`download_start`
-    returned, and a buffer sample to :attr:`buffer_t`, :attr:`buffer_v`
-    and :attr:`buffer_a`, which :meth:`seal` turns into records.
+    returned, and a buffer sample straight to the result's
+    :attr:`~SessionResult.buffer_t`, :attr:`~SessionResult.buffer_v`
+    and :attr:`~SessionResult.buffer_a` columns. The fold never copies
+    or converts what it gathered: the result is complete as each event
+    is folded, so a session cut short (or a torn log) leaves a valid
+    partial result.
     """
 
-    __slots__ = ("result", "buffer_t", "buffer_v", "buffer_a", "_emit", "_open")
+    __slots__ = ("result", "_emit", "_open")
 
     def __init__(
         self,
@@ -522,9 +553,6 @@ class ResultFold:
         emit: Optional[Callable[[str, Dict[str, object]], None]] = None,
     ):
         self.result = SessionResult(content_duration_s, chunk_duration_s, n_chunks)
-        self.buffer_t: List[float] = []
-        self.buffer_v: List[float] = []
-        self.buffer_a: List[float] = []
         self._emit = emit
         #: Progress segments of the open video and audio download, by
         #: ``medium is MediaType.AUDIO`` (hashing the enum costs more).
@@ -722,9 +750,10 @@ class ResultFold:
             self._emit("playback_start", {"t": t})
 
     def buffer_sample(self, t: float, video_s: float, audio_s: float) -> None:
-        self.buffer_t.append(t)
-        self.buffer_v.append(video_s)
-        self.buffer_a.append(audio_s)
+        result = self.result
+        result.buffer_t.append(t)
+        result.buffer_v.append(video_s)
+        result.buffer_a.append(audio_s)
         if self._emit is not None:
             self._emit(
                 "buffer_sample", {"t": t, "video_s": video_s, "audio_s": audio_s}
@@ -759,13 +788,3 @@ class ResultFold:
                     "n_stalls": len(result.stalls),
                 },
             )
-
-    def seal(self) -> None:
-        """Move the buffer samples gathered so far into the result."""
-        if self.buffer_t:
-            self.result.buffer_timeline.extend(
-                map(BufferSample, self.buffer_t, self.buffer_v, self.buffer_a)
-            )
-            self.buffer_t = []
-            self.buffer_v = []
-            self.buffer_a = []

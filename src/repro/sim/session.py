@@ -739,10 +739,10 @@ class Session:
         ended_state = PlaybackState.ENDED
         playing_state = PlaybackState.PLAYING
         # Unobserved, the hottest kinds skip the fold's methods and
-        # append straight to its lists (no payload to build).
-        bt_t = fold.buffer_t
-        bt_v = fold.buffer_v
-        bt_a = fold.buffer_a
+        # append straight to the result's columns (no payload to build).
+        bt_t = fold.result.buffer_t
+        bt_v = fold.result.buffer_v
+        bt_a = fold.result.buffer_a
         # The loop tail runs update_state with arguments that cannot
         # change before the next iteration's head; this flag elides the
         # duplicate head call (update_state is idempotent on identical
@@ -1099,7 +1099,6 @@ class Session:
                     break  # graceful degraded end: keep the result intact
             return self._finish()
         finally:
-            self._fold.seal()
             self.ctx = None
 
     def _finish(self) -> SessionResult:

@@ -42,7 +42,6 @@ from repro.runner import (
     runner_options,
 )
 from repro.sim.records import (
-    BufferSample,
     DownloadRecord,
     SessionResult,
     StallEvent,
@@ -153,7 +152,9 @@ class TestInvariants:
         result = SessionResult(60.0, 2.0, 30)
         result.ended_at_s = 61.0
         result.completed = True
-        result.buffer_timeline.append(BufferSample(1.0, -0.5, 2.0))
+        result.buffer_t.append(1.0)
+        result.buffer_v.append(-0.5)
+        result.buffer_a.append(2.0)
         names = {v.invariant for v in check_session(result)}
         assert "non-negative-buffers" in names
 

@@ -11,10 +11,11 @@ each belongs to a whole process:
   on constant links, in eight processes under ``PYTHONHASHSEED`` 0-7.
   A selection that breaks a tie by set or hash order picks a different
   combination in some of them, and the digests of the results differ.
-  (Before Python 3.12 ``hash(None)`` follows the object's address, so
-  a track's hash, and a set's order, can differ between two processes
-  under one seed too; eight processes still catch a seeded tie-break
-  in over 99% of runs.)
+  (A track hashes by its id and medium alone, so a set's order is one
+  per seed even before Python 3.12, where ``hash(None)`` follows the
+  object's address; see the set-order check below.)
+* **Set order.** Eight processes under one seed iterate a set of the
+  drama title's tracks, and of its H_all combinations, in one order.
 * **Fork count.** A pooled ``run_jobs`` forks exactly its workers
   under the ``fork`` start method (none under ``spawn`` or
   ``forkserver``), and leaves no live child once it returns.
@@ -82,6 +83,19 @@ for name in PLAYER_NAMES + PRACTICE_PLAYER_NAMES:
         digest.update(pickle.dumps(result))
         sessions += 1
 print(digest.hexdigest(), sessions, tied)
+"""
+
+SET_ORDER_CHECK = """
+from repro.core.combinations import all_combinations
+from repro.media.content import drama_show
+
+content = drama_show()
+tracks = set(content.video) | set(content.audio)
+combinations = set(all_combinations(content))
+print(
+    ",".join(track.track_id for track in tracks),
+    ",".join(combination.name for combination in combinations),
+)
 """
 
 FORK_COUNT_CHECK = """
@@ -168,6 +182,20 @@ class TestTiedLadder:
         # Every player on every link, over a title that really ties:
         # 7 of its 9 combinations share their aggregates with another.
         assert (int(sessions), int(tied)) == (32, 7)
+
+
+class TestSetOrder:
+    def test_track_and_combination_sets_iterate_alike_in_every_process(self):
+        with ThreadPoolExecutor(max_workers=2) as interpreters:
+            outputs = list(
+                interpreters.map(
+                    lambda _: _run(SET_ORDER_CHECK, PYTHONHASHSEED="0"), range(8)
+                )
+            )
+        assert len(set(outputs)) == 1, outputs
+        tracks, combinations = outputs[0].split()
+        assert len(tracks.split(",")) == 9
+        assert len(combinations.split(",")) == 18
 
 
 class TestPoolProcesses:

@@ -6,6 +6,7 @@ grid runs serially, on a process pool, or from the on-disk cache, and
 cache invalidation whenever any outcome-affecting spec field changes.
 """
 
+import copyreg
 import dataclasses
 import json
 import os
@@ -39,6 +40,7 @@ from repro.sim.records import (
     EstimateSample,
     FailureRecord,
     ProgressSegment,
+    SessionResult,
     SkipRecord,
     StallEvent,
 )
@@ -572,6 +574,48 @@ class TestResultCache:
             assert getattr(cached, name) == getattr(result, name), name
         assert cached.to_dict() == result.to_dict()
         assert pickle.dumps(cached) == pickle.dumps(result)
+
+    def test_entry_with_a_buffer_timeline_list_still_loads(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry written before the buffer columns (a list of
+        ``BufferSample`` records under ``buffer_timeline``) is still a
+        hit, and reads as a fresh run does."""
+        job = SimulationJob(
+            player=PlayerSpec("dashjs"),
+            trace=TraceSpec.pairs([(20.0, 300.0), (20.0, 3000.0)]),
+            failure=FailureSpec(0.2, seed=1, taxonomy=True),
+            retry_policy=RetryPolicy(),
+        )
+        (outcome,) = run_jobs([job])
+        result = outcome.result
+        assert len(result.buffer_t) > 100 and result.max_buffer_imbalance_s() > 0
+        old_state = {}
+        for name, value in vars(result).items():
+            if name == "buffer_t":
+                old_state["buffer_timeline"] = list(
+                    map(BufferSample, result.buffer_t, result.buffer_v, result.buffer_a)
+                )
+            elif name not in ("buffer_v", "buffer_a"):
+                old_state[name] = value
+        # How the default object pickling wrote a result of that layout.
+        monkeypatch.setattr(
+            SessionResult,
+            "__reduce_ex__",
+            lambda self, _: (copyreg.__newobj__, (SessionResult,), old_state),
+            raising=False,
+        )
+        cache = ResultCache(str(tmp_path))
+        cache.put("old", result)
+        monkeypatch.undo()
+        cached = cache.get("old")
+        assert cache.stats.hits == 1 and cache.stats.evictions == 0
+        fresh = job.execute()
+        assert cached.buffer_timeline == fresh.buffer_timeline
+        assert cached.max_buffer_imbalance_s() == fresh.max_buffer_imbalance_s()
+        assert cached.mean_buffer_imbalance_s() == fresh.mean_buffer_imbalance_s()
+        assert cached.to_dict() == fresh.to_dict()
+        assert pickle.dumps(cached) == pickle.dumps(fresh)
 
     def test_clear_removes_entries(self, tmp_path):
         cache = ResultCache(str(tmp_path))

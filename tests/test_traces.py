@@ -2,11 +2,13 @@
 
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError, TraceError
+from repro.net.markov import hspa_preset
 from repro.net.traces import (
     BandwidthTrace,
     TraceSegment,
@@ -111,8 +113,10 @@ class TestPiecewise:
             self._trace().bandwidth_at(-1)
 
     def test_empty_rejected(self):
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="at least one segment"):
             BandwidthTrace([])
+        with pytest.raises(TraceError, match="at least one segment"):
+            from_pairs([])
 
     def test_scaled(self):
         scaled = self._trace().scaled(2.0)
@@ -532,3 +536,147 @@ class TestSharedTraceCursors:
             if i < len(b_times):
                 t = b_times[i]
                 assert b.next_change_after(t) == trace.next_change_after(t)
+
+
+class _SegmentReference:
+    """A trace kept as one :class:`TraceSegment` per interval, answering
+    by the historical linear predicate ("largest i with t >= starts[i]
+    - 1e-12"): the representation the trace's float columns replaced,
+    and the reference they must answer bit-identically to."""
+
+    def __init__(self, segments, loop):
+        self.segments = tuple(segments)
+        self.loop = loop
+        self.period = sum(s.duration_s for s in self.segments)
+        self.starts = []
+        offset = 0.0
+        for segment in self.segments:
+            self.starts.append(offset)
+            offset += segment.duration_s
+
+    def _locate(self, t):
+        if self.loop:
+            t = math.fmod(t, self.period)
+        elif t >= self.period:
+            return len(self.segments) - 1, t - self.starts[-1]
+        for i in range(len(self.starts) - 1, -1, -1):
+            if t >= self.starts[i] - 1e-12:
+                return i, t - self.starts[i]
+        return 0, t - self.starts[0]
+
+    def bandwidth_at(self, t):
+        return self.segments[self._locate(t)[0]].kbps
+
+    def next_change_after(self, t):
+        if len(self.segments) == 1 and self.loop:
+            return math.inf
+        if not self.loop and t >= self.period:
+            return math.inf
+        index, offset = self._locate(t)
+        boundary = t + (self.segments[index].duration_s - offset)
+        if boundary <= t:
+            boundary = math.nextafter(t, math.inf)
+        return boundary
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+class TestColumnarTrace:
+    """A trace's float columns answer exactly what one
+    :class:`TraceSegment` per interval answered."""
+
+    @staticmethod
+    def _pairs(kind, rng):
+        if kind == "pairs":
+            return [
+                (rng.choice((0.5, 1.0, rng.uniform(0.05, 20.0))),
+                 round(rng.uniform(0.0, 5000.0), 1))
+                for _ in range(rng.randint(1, 60))
+            ]
+        if kind == "random_walk":
+            return random_walk(
+                rng.uniform(300.0, 3000.0), seed=rng.randrange(1 << 16)
+            ).to_pairs()
+        return hspa_preset(
+            duration_s=rng.uniform(30.0, 120.0), seed=rng.randrange(1 << 16)
+        ).to_pairs()
+
+    @staticmethod
+    def _times(reference, rng):
+        """Monotone walks with arbitrary seeks, landing on, just before
+        and just after segment starts, over three periods."""
+        period = reference.period
+        starts = reference.starts
+        times = []
+        t = 0.0
+        for _ in range(150):
+            roll = rng.random()
+            if roll < 0.5:
+                t += rng.uniform(0.0, period / 10.0)
+            elif roll < 0.8:
+                nudge = rng.choice((0.0, -1e-13, 1e-13, -1e-11))
+                t = rng.randrange(3) * period + rng.choice(starts) + nudge
+            else:
+                t = rng.uniform(0.0, 3.0 * period)
+            times.append(max(t, 0.0))
+        return times
+
+    @pytest.mark.parametrize("kind", ["pairs", "random_walk", "hspa"])
+    @pytest.mark.parametrize("loop", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_queries_bit_identical_to_segment_objects(self, kind, loop, seed):
+        rng = random.Random(f"{kind}-{loop}-{seed}")
+        pairs = self._pairs(kind, rng)
+        trace = from_pairs(pairs, loop=loop)
+        reference = _SegmentReference(
+            [TraceSegment(d, k) for d, k in pairs], loop
+        )
+        assert _same_bits(trace.period_s, reference.period)
+        assert trace.segments == reference.segments
+        assert BandwidthTrace(reference.segments, loop=loop).to_pairs() == pairs
+        cursor = trace.cursor()
+        for t in self._times(reference, rng):
+            kbps = reference.bandwidth_at(t)
+            change = reference.next_change_after(t)
+            for view in (trace, cursor):
+                assert _same_bits(view.bandwidth_at(t), kbps), (view, t)
+                assert _same_bits(view.next_change_after(t), change), (view, t)
+                got_kbps, got_change = view.rate_and_next_change(t)
+                assert _same_bits(got_kbps, kbps), (view, t)
+                assert _same_bits(got_change, change), (view, t)
+
+    @staticmethod
+    def _first_error(build):
+        try:
+            build()
+        except TraceError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.0, 100.0)],
+            [(1.0, 100.0), (-2.0, 100.0)],
+            [(1.0, -1.0)],
+            [(1.0, 100.0), (1.0, -0.5), (0.0, 100.0)],
+            [(1.0, 100.0), (0.0, -5.0)],
+            [(math.nan, 100.0), (1.0, -3.0)],
+            [(1.0, math.nan), (-1.0, 100.0)],
+        ],
+    )
+    def test_bad_rows_raise_what_segment_objects_raise(self, pairs):
+        want = self._first_error(
+            lambda: BandwidthTrace([TraceSegment(d, k) for d, k in pairs])
+        )
+        assert want is not None
+        assert self._first_error(lambda: from_pairs(pairs)) == want
+
+    def test_nan_passes_as_it_does_for_segment_objects(self):
+        pairs = [(1.0, math.nan), (math.nan, 200.0), (1.0, 300.0)]
+        reference = [TraceSegment(d, k) for d, k in pairs]
+        trace = from_pairs(pairs)
+        assert repr(trace.segments) == repr(tuple(reference))
+        assert math.isnan(trace.bandwidth_at(0.5))
