@@ -119,7 +119,7 @@ class BandwidthTrace(_RateQueries):
     def _from_columns(
         cls, durations: List[float], kbps: List[float], loop: bool
     ) -> "BandwidthTrace":
-        """A trace over already-validated columns (see :func:`from_pairs`)."""
+        """A trace over already-validated columns (see :func:`from_columns`)."""
         trace = cls.__new__(cls)
         trace._fill(durations, kbps, loop)
         return trace
@@ -290,22 +290,31 @@ def constant(kbps: float) -> BandwidthTrace:
 def from_pairs(
     pairs: Sequence[Tuple[float, float]], loop: bool = True
 ) -> BandwidthTrace:
-    """Build a trace from ``(duration_s, kbps)`` pairs.
+    """Build a trace from ``(duration_s, kbps)`` pairs (see :func:`from_columns`)."""
+    return from_columns(
+        [duration for duration, _ in pairs], [kbps for _, kbps in pairs], loop
+    )
 
-    The pairs fill the trace's columns directly. A bad row raises the
+
+def from_columns(
+    durations: List[float], kbps: List[float], loop: bool = True
+) -> BandwidthTrace:
+    """Build a trace whose segment i lasts ``durations[i]`` s at ``kbps[i]``.
+
+    The lists become the trace's own columns. A bad row raises the
     :class:`TraceError` a :class:`TraceSegment` of it would, at the
     first bad row; a NaN passes, as it does there.
     """
-    durations: List[float] = []
-    rates: List[float] = []
-    for duration, kbps in pairs:
-        if duration <= 0:
-            raise TraceError(f"segment duration must be positive, got {duration}")
-        if kbps < 0:
-            raise TraceError(f"segment bandwidth must be non-negative, got {kbps}")
-        durations.append(duration)
-        rates.append(kbps)
-    return BandwidthTrace._from_columns(durations, rates, loop)
+    # min() passes over a NaN unless the column starts with one, and
+    # then the row loop decides, so only a column holding a bad value
+    # (or led by a NaN) is walked row by row.
+    if durations and not (min(durations) > 0 and min(kbps) >= 0):
+        for duration, rate in zip(durations, kbps):
+            if duration <= 0:
+                raise TraceError(f"segment duration must be positive, got {duration}")
+            if rate < 0:
+                raise TraceError(f"segment bandwidth must be non-negative, got {rate}")
+    return BandwidthTrace._from_columns(durations, kbps, loop)
 
 
 def square_wave(

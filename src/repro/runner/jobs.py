@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -69,6 +70,19 @@ def spec_key(spec: Dict[str, object]) -> str:
         spec, sort_keys=True, separators=(",", ":"), default=_unkeyable
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def memo_key(job) -> str:
+    """``spec_key(job.spec_dict())``, hashed once per job object.
+
+    The key (not the canonical text, which would hold a measured
+    trace's ~20 KB again) is kept in the frozen job's ``__dict__``, so
+    it also rides the job's pickle to pool workers.
+    """
+    key = job.__dict__.get("_key")
+    if key is None:
+        key = job.__dict__["_key"] = spec_key(job.spec_dict())
+    return key
 
 
 # -- content ----------------------------------------------------------------
@@ -126,24 +140,111 @@ class ContentSpec:
 # -- traces -----------------------------------------------------------------
 
 
+class PairColumns:
+    """``(duration_s, kbps)`` rows packed as two float64 columns.
+
+    ``durations`` and ``kbps`` are the ``bytes`` of an ``array("d")``
+    each: 16 bytes a row, where a tuple of two boxed floats costs
+    about 90. Iterating yields the rows as ``(duration_s, kbps)`` float
+    tuples. Every NaN packs as the one ``float("nan")``, so two columns
+    hold equal bytes exactly when their rows render the same JSON.
+    """
+
+    __slots__ = ("durations", "kbps")
+
+    def __init__(self, durations: bytes, kbps: bytes) -> None:
+        self.durations = durations
+        self.kbps = kbps
+
+    @classmethod
+    def from_rows(cls, rows) -> "PairColumns":
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        durations = array("d", [duration for duration, _ in rows])
+        kbps = array("d", [rate for _, rate in rows])
+        return cls(_packed(durations), _packed(kbps))
+
+    def columns(self) -> Tuple[list, list]:
+        """The two columns as fresh float lists."""
+        return _floats(self.durations).tolist(), _floats(self.kbps).tolist()
+
+    def __iter__(self):
+        return zip(_floats(self.durations), _floats(self.kbps))
+
+    def __len__(self) -> int:
+        return len(self.durations) // 8
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairColumns):
+            return NotImplemented
+        return self.durations == other.durations and self.kbps == other.kbps
+
+    def __hash__(self) -> int:
+        # A bytes hash is salted per process; an int's is not.
+        durations = int.from_bytes(self.durations, "little")
+        return hash((durations, int.from_bytes(self.kbps, "little")))
+
+    def __reduce__(self):
+        return PairColumns, (self.durations, self.kbps)
+
+    def __repr__(self) -> str:
+        return f"PairColumns.from_rows({list(self)!r})"
+
+
+def _floats(column: bytes) -> memoryview:
+    return memoryview(column).cast("d")
+
+
+def _packed(column: array) -> bytes:
+    # sum() is NaN whenever the column holds a NaN (or both infinities).
+    total = sum(column)
+    if total != total:
+        column = array("d", (x if x == x else float("nan") for x in column))
+    return column.tobytes()
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """Recipe for a bandwidth trace.
 
     ``kind`` selects the builder; ``args`` are its positional
-    parameters, kept as plain tuples so the spec hashes canonically:
+    parameters, kept as plain tuples (packed columns for ``pairs``) so
+    the spec hashes canonically:
 
     * ``constant`` — ``(kbps,)``
-    * ``pairs`` — ``((duration_s, kbps), ...)``
+    * ``pairs`` — ``((duration_s, kbps), ...)``, held as one
+      :class:`PairColumns`: two packed float64 columns, about a fifth
+      of the memory of a tuple of float tuples. Any iterable of rows
+      given as ``args`` is packed on construction, and ``spec_dict()``
+      renders the rows as ``[[duration_s, kbps], ...]``, so the key is
+      the one the tuples gave. Two ``pairs`` specs are equal exactly
+      when their JSON is (``-0.0`` is not ``0.0``, every NaN is one).
     * ``hspa`` / ``lte`` — ``(seed, duration_s)`` Markov presets
     * ``random_walk`` — ``(mean_kbps, seed)``
     * ``func`` — ``("package.module", "function")``: any importable
       zero-arg trace factory (how the named paper profiles in
       :mod:`repro.experiments.traces` ride the runner).
+
+    ``hash(spec)`` is ``hash(args)``: the same in every process for
+    every kind but ``func``, whose strings hash salted.
     """
 
     kind: str
     args: Tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.kind == "pairs" and not isinstance(self.args, PairColumns):
+            object.__setattr__(self, "args", PairColumns.from_rows(self.args))
+
+    def __hash__(self) -> int:
+        # Not hash((kind, args)): kind's str hash is salted per process.
+        return hash(self.args)
+
+    def spec_dict(self) -> Dict[str, object]:
+        args = self.args
+        if self.kind == "pairs":
+            args = list(args)
+        return {"kind": self.kind, "args": args}
 
     @classmethod
     def constant(cls, kbps: float) -> "TraceSpec":
@@ -151,7 +252,7 @@ class TraceSpec:
 
     @classmethod
     def pairs(cls, pairs) -> "TraceSpec":
-        return cls("pairs", tuple((float(d), float(k)) for d, k in pairs))
+        return cls("pairs", pairs)
 
     @classmethod
     def hspa(cls, seed: int, duration_s: float = 300.0) -> "TraceSpec":
@@ -175,7 +276,7 @@ class TraceSpec:
         if self.kind == "constant":
             return traces.constant(self.args[0])
         if self.kind == "pairs":
-            return traces.from_pairs(list(self.args))
+            return traces.from_columns(*self.args.columns())
         if self.kind == "hspa":
             return markov.hspa_preset(seed=self.args[0], duration_s=self.args[1])
         if self.kind == "lte":
@@ -373,9 +474,8 @@ class SimulationJob:
             "content": dataclasses.asdict(self.content),
             "player": self.player.spec_dict(),
             # Not ``asdict``: it deep-copies every float of a measured
-            # trace. ``args`` is already a tuple of plain values, which
-            # encodes to the same JSON bytes.
-            "trace": {"kind": self.trace.kind, "args": self.trace.args},
+            # trace.
+            "trace": self.trace.spec_dict(),
             "rtt_s": self.rtt_s,
             "failure": (
                 None if self.failure is None else dataclasses.asdict(self.failure)
@@ -393,7 +493,7 @@ class SimulationJob:
 
     def key(self) -> str:
         """Stable content-addressed identity of this job."""
-        return spec_key(self.spec_dict())
+        return memo_key(self)
 
     def label(self, key: Optional[str] = None) -> str:
         """Short human identity for chaos logs and failure messages.

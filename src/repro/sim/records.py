@@ -164,11 +164,6 @@ class BufferSample:
     video_level_s: float
     audio_level_s: float
 
-    @property
-    def imbalance_s(self) -> float:
-        """Absolute audio/video buffer difference — the Fig. 5(b) metric."""
-        return abs(self.video_level_s - self.audio_level_s)
-
 
 @_pickled_by_fields
 @dataclass(frozen=True, slots=True)

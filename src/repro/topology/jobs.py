@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 from ..errors import SimulationError
 from ..net.resilience import FailoverPolicy, RetryPolicy
-from ..runner.jobs import ContentSpec, spec_key
+from ..runner.jobs import ContentSpec, memo_key
 from .faults import FaultDomainSchedule
 from .spec import TopologySpec
 
@@ -93,7 +93,7 @@ class CohortJob:
 
     def key(self) -> str:
         """Stable content-addressed identity of this job."""
-        return spec_key(self.spec_dict())
+        return memo_key(self)
 
     def label(self, key: Optional[str] = None) -> str:
         """Short human identity for chaos logs and failure messages;

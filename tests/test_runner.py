@@ -8,11 +8,16 @@ cache invalidation whenever any outcome-affecting spec field changes.
 
 import copyreg
 import dataclasses
+import gc
 import json
+import math
 import os
 import pickle
+import random
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -327,6 +332,232 @@ class TestKeyContract:
         assert CohortJob().key() == (
             "016f293df480ce3d9ed1d4edffbbf82fb4f0cd0d993f4ca77d00de93b31c2255"
         )
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _payload_nan(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Values a ``pairs`` spec must carry to the same JSON the tuples gave.
+SPECIAL_VALUES = (
+    -0.0, 0.0, 5e-324, 1e16, 3.0, 400.0, 0.1, 2.5e-7, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, -math.nan, _payload_nan(0x7FF8000000000001),
+)
+
+
+def _special_rows(rng, n):
+    def value():
+        if rng.random() < 0.4:
+            return rng.choice(SPECIAL_VALUES)
+        return rng.uniform(0.0, 5000.0)
+
+    return [(value(), value()) for _ in range(n)]
+
+
+#: Rows a trace can be built from: positive durations, rates >= 0.
+def _valid_rows(rng, n):
+    durations = (0.5, 1.0, rng.uniform(0.01, 3.0))
+    rates = (0.0, 400.0, rng.uniform(0.0, 5000.0))
+    return [(rng.choice(durations), rng.choice(rates)) for _ in range(n)]
+
+
+HASH_CHECK = """
+import sys
+from repro.runner import TraceSpec
+
+rows = [(0.5 + i / 7.0, 400.0 + 7.25 * i) for i in range(1200)]
+print(hash(TraceSpec.pairs(rows)), hash(TraceSpec("pairs", tuple(rows))))
+"""
+
+
+class TestPackedPairs:
+    """A ``pairs`` trace spec is kept as two packed float64 columns; it
+    must key, compare, hash, round-trip and build exactly as the tuple
+    of float tuples it replaced."""
+
+    @staticmethod
+    def _reference_spec_dict(job, rows):
+        # The tuple-of-tuples form, rendered as the parent spec did.
+        spec = job.spec_dict()
+        spec["trace"] = {
+            "kind": "pairs",
+            "args": tuple((float(d), float(k)) for d, k in rows),
+        }
+        return spec
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_json_and_key_match_the_tuple_rendering(self, seed):
+        rng = random.Random(seed)
+        rows = _special_rows(rng, rng.randrange(1, 60))
+        spec = TraceSpec.pairs(rows)
+        assert _canonical(spec.spec_dict()) == _canonical(
+            {"kind": "pairs", "args": tuple(rows)}
+        )
+        job = SimulationJob(trace=spec, seed=seed)
+        assert job.key() == spec_key(self._reference_spec_dict(job, rows))
+        assert TraceSpec("pairs", tuple(rows)) == spec
+        assert TraceSpec("pairs", [list(row) for row in rows]) == spec
+        got = list(spec.args)
+        assert len(got) == len(spec.args) == len(rows)
+        for (d, k), (want_d, want_k) in zip(got, rows):
+            assert type(d) is float and type(k) is float
+            assert repr(d) == repr(want_d) and repr(k) == repr(want_k)
+
+    def test_integral_rows_key_as_the_floats_they_were_converted_to(self):
+        spec = TraceSpec.pairs([(1, 400), (2, 3)])
+        assert list(spec.args) == [(1.0, 400.0), (2.0, 3.0)]
+        assert _canonical(spec.spec_dict()) == (
+            '{"args":[[1.0,400.0],[2.0,3.0]],"kind":"pairs"}'
+        )
+
+    #: Pairs of values that are == but render apart (the zeros) or
+    #: render alike but differ in bits (the NaNs).
+    TWINS = (0.0, -0.0, 5e-324, math.nan, -math.nan, _payload_nan(0x7FF8000000000001))
+
+    @pytest.mark.parametrize("x", TWINS)
+    @pytest.mark.parametrize("y", TWINS)
+    def test_equal_exactly_when_the_json_is_equal(self, x, y):
+        rows = [(0.5, 400.0), (1.0, 800.0), (0.25, 0.0)]
+        a = TraceSpec.pairs(rows[:1] + [(1.0, x)] + rows[1:])
+        b = TraceSpec.pairs(rows[:1] + [(1.0, y)] + rows[1:])
+        same_json = _canonical(a.spec_dict()) == _canonical(b.spec_dict())
+        assert (a == b) is same_json
+        assert (a != b) is not same_json
+        if same_json:
+            assert hash(a) == hash(b)
+            assert SimulationJob(trace=a).key() == SimulationJob(trace=b).key()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_spec_and_pickle_round_trips(self, seed):
+        rng = random.Random(seed)
+        rows = _special_rows(rng, 300)
+        job = SimulationJob(trace=TraceSpec.pairs(rows), rtt_s=0.05, seed=seed)
+        clones = [
+            SimulationJob.from_spec(job.spec_dict()),
+            SimulationJob.from_spec(json.loads(json.dumps(job.spec_dict()))),
+            pickle.loads(pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)),
+            pickle.loads(pickle.dumps(job, protocol=2)),
+        ]
+        for clone in clones:
+            assert clone.trace == job.trace
+            assert hash(clone.trace) == hash(job.trace)
+            assert clone == job
+            assert clone.key() == job.key()
+            assert clone.trace.args.durations == job.trace.args.durations
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_answers_as_from_pairs_bit_for_bit(self, seed):
+        from repro.net.traces import from_pairs
+
+        rng = random.Random(seed)
+        rows = _valid_rows(rng, 1200)
+        spec = TraceSpec.pairs(rows)
+        built = spec.build()
+        reference = from_pairs(list(spec.args))
+        assert built.to_pairs() == rows
+        assert _same_bits(built.period_s, reference.period_s)
+        times = [rng.uniform(0.0, 3.0 * reference.period_s) for _ in range(300)]
+        times += [t + nudge for t in (0.5, 1.0, 3.0) for nudge in (-1e-12, 0.0, 1e-12)]
+        for t in times:
+            assert _same_bits(built.bandwidth_at(t), reference.bandwidth_at(t)), t
+            assert _same_bits(
+                built.next_change_after(t), reference.next_change_after(t)
+            ), t
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0.0, 100.0)],
+            [(1.0, 100.0), (-2.0, 100.0)],
+            [(1.0, -1.0)],
+            [(1.0, 100.0), (1.0, -0.5), (0.0, 100.0)],
+            [(math.nan, 100.0), (1.0, -3.0)],
+            [(1.0, math.nan), (-1.0, 100.0)],
+            [(-0.0, 5.0)],
+        ],
+    )
+    def test_bad_rows_raise_what_from_pairs_raises(self, rows):
+        from repro.errors import TraceError
+        from repro.net.traces import from_pairs
+
+        with pytest.raises(TraceError) as want:
+            from_pairs(list(rows))
+        with pytest.raises(TraceError) as got:
+            TraceSpec.pairs(rows).build()
+        assert str(got.value) == str(want.value)
+
+    def test_nan_rows_still_build(self):
+        rows = [(1.0, math.nan), (math.nan, 200.0), (1.0, 3.0)]
+        trace = TraceSpec.pairs(rows).build()
+        assert math.isnan(trace.bandwidth_at(0.5))
+
+    def test_hash_is_one_value_under_every_hash_seed(self):
+        rows = [(0.5 + i / 7.0, 400.0 + 7.25 * i) for i in range(1200)]
+        here = hash(TraceSpec.pairs(rows))
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            completed = subprocess.run(
+                [sys.executable, "-c", HASH_CHECK],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert completed.returncode == 0, completed.stderr[-4000:]
+            assert completed.stdout.split() == [str(here), str(here)], seed
+
+    def test_a_measured_spec_allocates_at_most_24_kb(self):
+        # The rows are made inside the window, so the spec is charged
+        # for every float it keeps; a full collection empties the float
+        # and tuple free lists, which would hold the rows' memory. A
+        # tuple of float tuples kept 106 KB here, the columns 20 KB.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spec = TraceSpec.pairs([(0.5, 400.0 + 7.25 * i) for i in range(1200)])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(spec.args) == 1200
+        assert held <= 24 * 1024, held
+
+    def test_key_is_hashed_once_per_job_and_rides_the_pickle(self, monkeypatch):
+        from repro.runner import jobs
+        from repro.topology import CohortJob
+
+        renders = []
+        original = jobs.spec_key
+
+        def counting_spec_key(spec):
+            renders.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(jobs, "spec_key", counting_spec_key)
+        job = GOLDEN_KEYS[1][0]
+        job = dataclasses.replace(job, seed=job.seed)  # a fresh, unhashed object
+        assert job.key() == job.key() == GOLDEN_KEYS[1][1]
+        assert len(renders) == 1
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone.key() == GOLDEN_KEYS[1][1]
+        assert len(renders) == 1
+        other = dataclasses.replace(job, seed=3)
+        assert other.key() != job.key()
+        assert len(renders) == 2
+        cohort = CohortJob()
+        assert cohort.key() == cohort.key()
+        assert len(renders) == 3
 
 
 #: Run in a fresh interpreter: a mixed-player grid on a ``spawn`` pool
